@@ -43,45 +43,68 @@ from .traces import PropSet, UPTrace
 
 
 def check_trace(trace: UPTrace, f: Formula) -> bool:
-    """Decide trace |= f for a single ultimately periodic trace.
+    """Decide trace |= f for a single ultimately periodic trace."""
+    return trace_values(trace, f)[0]
 
-    Works by computing, for every subformula, its truth value at each of
-    the |prefix| + |loop| distinct positions of the trace.  Until is a
-    least fixpoint over the loop (iterate to stability, then a backward
-    pass over the prefix); Release is the greatest-fixpoint dual.
+
+def _operands(g: Formula) -> tuple:
+    match g:
+        case And(lhs=a, rhs=b) | Split(lhs=a, rhs=b) | Until(lhs=a, rhs=b) | Release(lhs=a, rhs=b):
+            return (a, b)
+        case Next(sub=s) | Eventually(sub=s) | Globally(sub=s) | ContradictoryNeg(sub=s):
+            return (s,)
+    return ()
+
+
+def trace_values(trace: UPTrace, f: Formula, memo: dict | None = None) -> list[bool]:
+    """Truth value of f at each of the |prefix| + |loop| distinct positions.
+
+    Entry i is the value of f on the suffix starting at position i.  Every
+    subformula's vector is computed once, bottom-up by an explicit-stack
+    walk, so nesting depth is not limited by the interpreter's stack.
+    Until is a least fixpoint over the loop (iterate to stability, then a
+    backward pass over the prefix); Release is the greatest-fixpoint dual.
     ContradictoryNeg is classical negation here, since on a single trace
     both negations coincide.
+
+    `memo` maps id(subformula) to its vector on this trace; a caller that
+    keeps it across calls must keep the formulas alive as long as it.
     """
-    letters = list(trace.prefix) + list(trace.loop)
+    if memo is None:
+        memo = {}
+    got = memo.get(id(f))
+    if got is not None:
+        return got
+    letters = trace.prefix + trace.loop
     start = len(trace.prefix)
     n = len(letters)
     succ = list(range(1, n)) + [start]
-    succ[n - 1] = start
     loop_positions = range(start, n)
-    memo: dict[Formula, list[bool]] = {}
-
-    def vals(g: Formula) -> list[bool]:
-        cached = memo.get(g)
-        if cached is not None:
-            return cached
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if id(g) in memo:
+            continue
+        if not ready:
+            stack.append((g, True))
+            stack.extend((sub, False) for sub in reversed(_operands(g)))
+            continue
         match g:
             case PositiveLiteral(name=name):
-                v = [name in letters[i] for i in range(n)]
+                v = [name in letter for letter in letters]
             case NegativeLiteral(name=name):
-                v = [name not in letters[i] for i in range(n)]
+                v = [name not in letter for letter in letters]
             case ContradictoryNeg(sub=sub):
-                v = [not x for x in vals(sub)]
+                v = [not x for x in memo[id(sub)]]
             case And(lhs=lhs, rhs=rhs):
-                a, b = vals(lhs), vals(rhs)
-                v = [a[i] and b[i] for i in range(n)]
+                v = [x and y for x, y in zip(memo[id(lhs)], memo[id(rhs)])]
             case Split(lhs=lhs, rhs=rhs):
-                a, b = vals(lhs), vals(rhs)
-                v = [a[i] or b[i] for i in range(n)]
+                v = [x or y for x, y in zip(memo[id(lhs)], memo[id(rhs)])]
             case Next(sub=sub):
-                a = vals(sub)
+                a = memo[id(sub)]
                 v = [a[succ[i]] for i in range(n)]
             case Eventually(sub=sub):
-                a = vals(sub)
+                a = memo[id(sub)]
                 v = [False] * n
                 hit = any(a[i] for i in loop_positions)
                 for i in loop_positions:
@@ -89,7 +112,7 @@ def check_trace(trace: UPTrace, f: Formula) -> bool:
                 for i in range(start - 1, -1, -1):
                     v[i] = a[i] or v[i + 1]
             case Globally(sub=sub):
-                a = vals(sub)
+                a = memo[id(sub)]
                 v = [False] * n
                 hold = all(a[i] for i in loop_positions)
                 for i in loop_positions:
@@ -97,8 +120,8 @@ def check_trace(trace: UPTrace, f: Formula) -> bool:
                 for i in range(start - 1, -1, -1):
                     v[i] = a[i] and v[i + 1]
             case Until(lhs=lhs, rhs=rhs):
-                a, b = vals(lhs), vals(rhs)
-                v = [b[i] for i in range(n)]
+                a, b = memo[id(lhs)], memo[id(rhs)]
+                v = list(b)
                 changed = True
                 while changed:  # least fixpoint over the loop
                     changed = False
@@ -110,7 +133,7 @@ def check_trace(trace: UPTrace, f: Formula) -> bool:
                 for i in range(start - 1, -1, -1):
                     v[i] = b[i] or (a[i] and v[i + 1])
             case Release(lhs=lhs, rhs=rhs):
-                a, b = vals(lhs), vals(rhs)
+                a, b = memo[id(lhs)], memo[id(rhs)]
                 v = [True] * n
                 changed = True
                 while changed:  # greatest fixpoint over the loop
@@ -129,10 +152,8 @@ def check_trace(trace: UPTrace, f: Formula) -> bool:
                 )
             case _:
                 raise UnsupportedFragment(f"cannot check {g!r} on a trace")
-        memo[g] = v
-        return v
-
-    return vals(f)[0]
+        memo[id(g)] = v
+    return memo[id(f)]
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,11 @@ __all__ = [
 
 def _read_inline_or_file(value: str) -> str:
     path = Path(value)
-    if path.is_file():
-        return path.read_text()
-    return value
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. formula text longer than a file name may be
+        is_file = False
+    return path.read_text() if is_file else value
 
 
 def _read_file(value: str) -> str:
@@ -291,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (TeamLTLError, OSError) as e:
         print(f"ERROR {e}")
+        return 2
+    except RecursionError:
+        print("ERROR formula nested too deep")
         return 2
 
 

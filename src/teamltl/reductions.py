@@ -284,66 +284,6 @@ def reduce_qbf_sync(q: QBFInstance) -> tuple[Team, Formula]:
 # QBF -> asynchronous team satisfiability (dependence atoms, F/G only)
 
 
-def _qbf_async_literal_split(
-    q: QBFInstance, annotate_choice_props: bool = True
-) -> tuple[Team, Formula]:
-    """Variant asynchronous encoding whose matrix splits on literal props.
-
-    Every trace for variable i carries, at every position, both assignment
-    propositions of every other variable, so each clause's splitjunction of
-    literal propositions can absorb every surviving trace somewhere.  That
-    absorption is exactly what breaks the variant: a clause mentioning two
-    distinct variables can never be falsified, because each misfit trace
-    parks in a part owned by the other variable (pinned by a regression
-    test on `prefix: A x A y / clause: x y y`).  With
-    `annotate_choice_props` unset the traces also drop the foreign s_j
-    markers, and then the universal split cannot place foreign traces at
-    all, failing in the opposite direction.  Kept as the documented
-    failure mode motivating the exclusion-atom matrix of
-    reduce_qbf_async_dep.
-    """
-    n = len(q.prefix)
-    traces = []
-    for i in range(1, n + 1):
-        ann: set[str] = set()
-        for j in range(1, n + 1):
-            if j != i:
-                ann.add(f"p{j}")
-                ann.add(f"p{j}_bar")
-                if annotate_choice_props:
-                    ann.add(f"s{j}")
-        pi, qi, ri, si = f"p{i}", f"q{i}", f"r{i}", f"s{i}"
-        traces.append(UPTrace((), (frozenset({pi, qi, ri, si} | ann),)))
-        traces.append(
-            UPTrace(
-                (),
-                (
-                    frozenset({qi, ri, f"p{i}_bar"} | ann),
-                    frozenset({qi, si, f"p{i}_bar"} | ann),
-                ),
-            )
-        )
-
-    position = {var: i for i, var in enumerate(q.variables, start=1)}
-    clause_parts = []
-    for clause in q.clauses:
-        literals = [
-            PositiveLiteral(f"p{position[var]}" if positive else f"p{position[var]}_bar")
-            for var, positive in clause
-        ]
-        clause_parts.append(_splitjunction(literals))
-    g = _conjunction(clause_parts)
-    for quant, var in reversed(q.prefix):
-        i = position[var]
-        dep = DepAtom((), (f"p{i}",))
-        if quant == "E":
-            g = Split(And(PositiveLiteral(f"q{i}"), dep), g)
-        else:
-            keep = And(And(dep, PositiveLiteral(f"q{i}")), PositiveLiteral(f"r{i}"))
-            g = Globally(Split(keep, And(PositiveLiteral(f"s{i}"), g)))
-    return Team(traces), g
-
-
 def reduce_qbf_async_dep(q: QBFInstance) -> tuple[Team, Formula]:
     """Encode QBF truth as asynchronous satisfaction with dependence atoms.
 

@@ -21,6 +21,21 @@ part that already fails its formula can never recover — both prunings are
 licensed by downward closure.  With contradictory negation in scope the
 semantics-faithful mode enumerates all covers (AllCovers), including
 overlapping ones.
+
+Both engines compute on integers.  Each call first interns every
+member's |prefix| + |loop| canonical suffixes into one table, the trace
+universe, which is closed under shift.  Universe ids are numbered in
+`serialize_trace` order, and per-id tables hold the successor id (the
+suffix one step on), the first letter, and the prefix and loop lengths.
+A team is an int bitmask over the universe, so a shift maps bits through
+the successor table, subteams are submasks, and iterating a mask's bits
+from low to high visits members in serialised order, the order atoms and
+split search see.  Formula nodes are hash-consed once by an iterative
+walk (structurally equal subformulas share one number), with their pure
+and flat flags in arrays, and the memo is keyed by (mask, node).  A pure
+node's value on every universe trace comes from one `trace_values` vector
+per member orbit, kept as the mask of ids that satisfy it; per-trace
+checks are then one mask test.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from enum import Enum
 from itertools import product
 from typing import Callable
 
+from .classical import check_trace, trace_values
 from .errors import BoundExceeded, DuplicateName, UnknownAtom, VectorSpaceExceeded
 from .formula import (
     And,
@@ -48,8 +64,7 @@ from .formula import (
     Until,
     fragment_info,
 )
-from .classical import check_trace
-from .traces import PropSet, Team, UPTrace, serialize_trace, suffix_encoding, value_at
+from .traces import PropSet, Team, serialize_trace, suffix_encoding
 
 
 # ---------------------------------------------------------------------------
@@ -159,130 +174,273 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
-def _pick_mode(f: Formula, atoms) -> SplitMode:
-    info = fragment_info(f, atoms)
-    return SplitMode.DISJOINT_ONLY if info.downward_closed_syntactic else SplitMode.ALL_COVERS
+
+# ---------------------------------------------------------------------------
+# formula nodes
+
+# node kinds; a unary node keeps its operand in `rhs` and has no `lhs`,
+# which lets the temporal helpers read F b as (true U b) and G b as
+# (false R b)
+_POS, _NEG, _DEP, _GEN, _NOT, _AND, _SPLIT, _NEXT, _F, _G, _U, _R = range(12)
+
+_LEAF = {PositiveLiteral: _POS, NegativeLiteral: _NEG, DepAtom: _DEP, GenAtom: _GEN}
+_UNARY = {ContradictoryNeg: _NOT, Next: _NEXT, Eventually: _F, Globally: _G}
+_BINARY = {And: _AND, Split: _SPLIT, Until: _U, Release: _R}
 
 
-def _flatten_split(f: Formula) -> list[Formula]:
-    if isinstance(f, Split):
-        return _flatten_split(f.lhs) + _flatten_split(f.rhs)
-    return [f]
+class _Nodes:
+    """A formula as a hash-consed DAG of numbered nodes.
+
+    Nodes are numbered bottom-up by an explicit-stack walk; a leaf is
+    keyed by its (flat, cheaply hashed) dataclass and an inner node by its
+    kind and operand numbers, so equal subformulas get one number.
+    """
+
+    def __init__(self, f: Formula):
+        self.formula: list[Formula] = []  # a representative per node
+        self.kind: list[int] = []
+        self.lhs: list[int | None] = []
+        self.rhs: list[int | None] = []
+        self.pure: list[bool] = []  # no dependence atom, generalised atom or ~
+        self.flat: list[bool] = []  # literals, And, Split and Next only
+        self._parts: dict[int, list[int]] = {}
+        table: dict = {}
+        number: dict[int, int] = {}  # id(subformula) -> node
+        stack = [(f, False)]
+        while stack:
+            g, ready = stack.pop()
+            if id(g) in number:
+                continue
+            cls = type(g)
+            if not ready:
+                stack.append((g, True))
+                if cls in _BINARY:
+                    stack.append((g.rhs, False))
+                    stack.append((g.lhs, False))
+                elif cls in _UNARY:
+                    stack.append((g.sub, False))
+                continue
+            if cls in _BINARY:
+                kind = _BINARY[cls]
+                a, b = number[id(g.lhs)], number[id(g.rhs)]
+                key = (kind, a, b)
+                pure = self.pure[a] and self.pure[b]
+                flat = kind in (_AND, _SPLIT) and self.flat[a] and self.flat[b]
+            elif cls in _UNARY:
+                kind = _UNARY[cls]
+                a, b = None, number[id(g.sub)]
+                key = (kind, b)
+                pure = kind != _NOT and self.pure[b]
+                flat = kind == _NEXT and self.flat[b]
+            else:
+                kind = _LEAF[cls]
+                a = b = None
+                key = g
+                pure = flat = kind in (_POS, _NEG)
+            n = table.get(key)
+            if n is None:
+                n = table[key] = len(self.kind)
+                self.formula.append(g)
+                self.kind.append(kind)
+                self.lhs.append(a)
+                self.rhs.append(b)
+                self.pure.append(pure)
+                self.flat.append(flat)
+            number[id(g)] = n
+        self.root = number[id(f)]
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def parts(self, n: int) -> list[int]:
+        """Operands of the maximal Split chain at n, left to right."""
+        got = self._parts.get(n)
+        if got is None:
+            got = []
+            stack = [n]
+            while stack:
+                m = stack.pop()
+                if self.kind[m] == _SPLIT:
+                    stack.append(self.rhs[m])
+                    stack.append(self.lhs[m])
+                else:
+                    got.append(m)
+            self._parts[n] = got
+        return got
+
+
+# ---------------------------------------------------------------------------
+# engines
 
 
 class _Engine:
-    """Shared machinery: memoisation, split enumeration, atoms."""
+    """Shared machinery: trace universe, memoisation, splits, atoms."""
 
-    def __init__(self, atoms, limits: Limits, mode: SplitMode):
+    def __init__(self, team, f: Formula, atoms, limits: Limits, mode: SplitMode):
         self.atoms = atoms
         self.limits = limits
         self.mode = mode
-        # memo keys use id(f): formula nodes are immutable, stay alive via
-        # the root formula for the engine's lifetime, and identity lookups
-        # avoid rehashing deep subtrees on every cache probe
-        self.memo: dict = {}
-        self._pure: dict[int, bool] = {}
-        self._flat: dict[int, bool] = {}
-        self._parts: dict[int, list] = {}
-        self._trace_memo: dict = {}
+        self.nodes = _Nodes(f)
+        # shortcut[n]: node n holds on a team iff it holds on every member
+        self.shortcut = [p and fl for p, fl in zip(self.nodes.pure, self.nodes.flat)]
+        self.memo: list[dict[int, bool]] = [{} for _ in range(len(self.nodes))]
+        self._holds: list[int | None] = [None] * len(self.nodes)
+        self._members: dict[int, list[int]] = {}
+        self._next: dict[int, int] = {}
+        self._intern(team)
 
-    # fragment caches ----------------------------------------------------
+    def _intern(self, team) -> None:
+        """Build the trace universe and the mask of the team itself."""
+        index: dict = {}  # canonical suffix -> provisional id
+        suffixes = []
+        orbits = []  # (member, provisional ids of its suffixes, adds any)
+        for t in team:
+            ids = []
+            fresh = False
+            for k in range(len(t.prefix) + len(t.loop)):
+                s = suffix_encoding(t, k)
+                i = index.get(s)
+                if i is None:
+                    i = index[s] = len(suffixes)
+                    suffixes.append(s)
+                    fresh = True
+                ids.append(i)
+            orbits.append((t, ids, fresh))
+        order = sorted(range(len(suffixes)), key=lambda i: serialize_trace(suffixes[i]))
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        ordered = [suffixes[i] for i in order]
+        self.letter = [(s.prefix or s.loop)[0] for s in ordered]
+        self.prefix_len = [len(s.prefix) for s in ordered]
+        self.loop_len = [len(s.loop) for s in ordered]
+        succ = [0] * len(order)
+        self.team = 0
+        # members whose orbits together cover the universe, each with the
+        # ids of its suffixes and its trace_values memo
+        self.roots = []
+        for t, ids, fresh in orbits:
+            ids = [rank[i] for i in ids]
+            for k, u in enumerate(ids):
+                succ[u] = ids[k + 1] if k + 1 < len(ids) else ids[len(t.prefix)]
+            self.team |= 1 << ids[0]
+            if fresh:
+                self.roots.append((t, ids, {}))
+        self.succ = succ
+        self._succ_bit = [1 << v for v in succ]
 
-    def pure(self, f: Formula) -> bool:
-        got = self._pure.get(id(f))
+    # masks ------------------------------------------------------------------
+
+    def members(self, mask: int) -> list[int]:
+        """Universe ids in the mask, ascending, i.e. in serialised order."""
+        got = self._members.get(mask)
         if got is None:
-            match f:
-                case DepAtom() | GenAtom() | ContradictoryNeg():
-                    got = False
-                case And(lhs=a, rhs=b) | Split(lhs=a, rhs=b) | Until(lhs=a, rhs=b) | Release(lhs=a, rhs=b):
-                    got = self.pure(a) and self.pure(b)
-                case Next(sub=s) | Eventually(sub=s) | Globally(sub=s):
-                    got = self.pure(s)
-                case _:
-                    got = True
-            self._pure[id(f)] = got
+            got = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                got.append(low.bit_length() - 1)
+                rest ^= low
+            self._members[mask] = got
         return got
 
-    def flat(self, f: Formula) -> bool:
-        """Literals, And, Split and Next only: satisfied iff per-trace."""
-        got = self._flat.get(id(f))
+    def shift(self, mask: int) -> int:
+        """The team of one-step suffixes."""
+        got = self._next.get(mask)
         if got is None:
-            match f:
-                case PositiveLiteral() | NegativeLiteral():
-                    got = True
-                case And(lhs=a, rhs=b) | Split(lhs=a, rhs=b):
-                    got = self.flat(a) and self.flat(b)
-                case Next(sub=s):
-                    got = self.flat(s)
-                case _:
-                    got = False
-            self._flat[id(f)] = got
+            got = 0
+            for u in self.members(mask):
+                got |= self._succ_bit[u]
+            self._next[mask] = got
         return got
 
-    def trace_value(self, t: UPTrace, f: Formula) -> bool:
-        key = (t, id(f))
-        got = self._trace_memo.get(key)
-        if got is None:
-            got = check_trace(t, f)
-            self._trace_memo[key] = got
+    def _fill_holds(self, n: int) -> int:
+        """Mask of the universe ids whose trace satisfies pure node n."""
+        got = 0
+        g = self.nodes.formula[n]
+        for t, ids, memo in self.roots:
+            for u, value in zip(ids, trace_values(t, g, memo)):
+                if value:
+                    got |= 1 << u
+        self._holds[n] = got
         return got
 
-    # atoms ----------------------------------------------------------------
+    # evaluation ---------------------------------------------------------------
 
-    def first_letters(self, team) -> list[PropSet]:
-        return [value_at(t, 0) for t in sorted(team, key=serialize_trace)]
+    def eval(self, mask: int, n: int) -> bool:
+        nodes = self.nodes
+        if self.shortcut[n] or (nodes.pure[n] and not mask & (mask - 1)):
+            holds = self._holds[n]
+            if holds is None:
+                holds = self._fill_holds(n)
+            return mask & holds == mask
+        memo = self.memo[n]
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        kind = nodes.kind[n]
+        if kind == _AND:
+            result = self.eval(mask, nodes.lhs[n]) and self.eval(mask, nodes.rhs[n])
+        elif kind == _SPLIT:
+            result = self.split_value(mask, n)
+        elif kind == _NEXT:
+            result = self.eval(self.shift(mask), nodes.rhs[n])
+        elif kind == _NOT:
+            result = not self.eval(mask, nodes.rhs[n])
+        elif kind in (_DEP, _GEN):
+            result = self.atom_value(mask, n)
+        else:  # literals always take the per-trace shortcut
+            result = self.temporal(mask, n)
+        memo[mask] = result
+        return result
 
-    def atom_value(self, team, f) -> bool:
-        match f:
-            case PositiveLiteral(name=name):
-                return all(name in value_at(t, 0) for t in team)
-            case NegativeLiteral(name=name):
-                return all(name not in value_at(t, 0) for t in team)
-            case DepAtom(determinants=ds, determined=qs):
-                return eval_dep_atom(self.first_letters(team), ds, qs)
-            case GenAtom(name=name, args=args):
-                defn = self.atoms.get(name) if self.atoms is not None else None
-                if defn is None:
-                    raise UnknownAtom(f"generalised atom {name!r} is not registered")
-                return bool(defn.predicate(self.first_letters(team), args))
-        raise AssertionError(f"not an atom: {f!r}")
+    def temporal(self, mask: int, n: int) -> bool:  # overridden
+        raise NotImplementedError
 
-    # splits ---------------------------------------------------------------
+    def atom_value(self, mask: int, n: int) -> bool:
+        g = self.nodes.formula[n]
+        letters = [self.letter[u] for u in self.members(mask)]
+        if self.nodes.kind[n] == _DEP:
+            return eval_dep_atom(letters, g.determinants, g.determined)
+        defn = self.atoms.get(g.name) if self.atoms is not None else None
+        if defn is None:
+            raise UnknownAtom(f"generalised atom {g.name!r} is not registered")
+        return bool(defn.predicate(letters, g.args))
 
-    def split_value(self, team, f: Split) -> bool:
+    # splits -------------------------------------------------------------------
+
+    def split_value(self, mask: int, n: int) -> bool:
         if self.mode is SplitMode.DISJOINT_ONLY:
-            parts = self._parts.get(id(f))
-            if parts is None:
-                parts = _flatten_split(f)
-                self._parts[id(f)] = parts
-            return self._split_disjoint(team, parts)
-        return self._split_covers(team, f.lhs, f.rhs)
+            return self._split_disjoint(mask, self.nodes.parts(n))
+        return self._split_covers(mask, self.nodes.lhs[n], self.nodes.rhs[n])
 
-    def _split_disjoint(self, team, parts) -> bool:
+    def _split_disjoint(self, mask: int, parts: list[int]) -> bool:
         # Assign every trace to exactly one part.  Sound and complete for
         # downward-closed parts: singleton failure rules a part out for a
         # trace, and a partial part that fails can never be repaired by
         # adding more traces.  Empty parts hold trivially (empty team
         # property for ~-free formulas).
-        candidates: dict = {}
-        for t in team:
-            cand = [i for i, p in enumerate(parts) if self.eval(frozenset((t,)), p)]
+        members = self.members(mask)
+        candidates = []
+        for u in members:
+            bit = 1 << u
+            cand = [i for i, p in enumerate(parts) if self.eval(bit, p)]
             if not cand:
                 return False
-            candidates[t] = cand
+            candidates.append(cand)
         # traces with a single admissible part are placed up front, and each
         # such core is checked once; traces with a real choice are assigned
         # by backtracking with incremental checks on the growing parts
-        acc = [
-            frozenset(t for t in team if candidates[t] == [i])
-            for i in range(len(parts))
-        ]
+        acc = [0] * len(parts)
+        for u, cand in zip(members, candidates):
+            if len(cand) == 1:
+                acc[cand[0]] |= 1 << u
         for i, core in enumerate(acc):
             if core and not self.eval(core, parts[i]):
                 return False
+        # fewest choices first, ties in serialised order
         flexible = sorted(
-            (t for t in team if len(candidates[t]) > 1),
-            key=lambda t: (len(candidates[t]), serialize_trace(t)),
+            ((len(cand), u, cand) for u, cand in zip(members, candidates) if len(cand) > 1)
         )
 
         def assign(idx: int) -> bool:
@@ -290,14 +448,12 @@ class _Engine:
                 # parts left empty must hold on the empty team (automatic
                 # for ~-free formulas, decisive when a forced DisjointOnly
                 # run meets contradictory negation)
-                return all(
-                    self.eval(acc[i], parts[i]) for i in range(len(parts)) if not acc[i]
-                )
-            t = flexible[idx]
-            for i in candidates[t]:
-                grown = acc[i] | {t}
+                return all(self.eval(0, parts[i]) for i in range(len(parts)) if not acc[i])
+            _, u, cand = flexible[idx]
+            for i in cand:
+                previous = acc[i]
+                grown = previous | (1 << u)
                 if self.eval(grown, parts[i]):
-                    previous = acc[i]
                     acc[i] = grown
                     if assign(idx + 1):
                         return True
@@ -306,248 +462,185 @@ class _Engine:
 
         return assign(0)
 
-    def _split_covers(self, team, lhs, rhs) -> bool:
-        n = len(team)
+    def _split_covers(self, mask: int, lhs: int, rhs: int) -> bool:
+        members = self.members(mask)
+        n = len(members)
         if n > self.limits.max_split_team:
             raise BoundExceeded(
                 f"cover enumeration over {n} traces exceeds the cap of "
                 f"{self.limits.max_split_team}"
             )
-        members = sorted(team, key=serialize_trace)
-        seen = set()
+        # members are distinct, so every side vector gives a distinct cover
+        bits = [1 << u for u in members]
         for sides in product((0, 1, 2), repeat=n):  # left, right, both
-            left = frozenset(m for m, s in zip(members, sides) if s != 1)
-            right = frozenset(m for m, s in zip(members, sides) if s != 0)
-            if (left, right) in seen:
-                continue
-            seen.add((left, right))
+            left = right = 0
+            for bit, side in zip(bits, sides):
+                if side != 1:
+                    left |= bit
+                if side != 0:
+                    right |= bit
             if self.eval(left, lhs) and self.eval(right, rhs):
                 return True
         return False
 
-    def eval(self, team, f) -> bool:  # overridden
-        raise NotImplementedError
-
 
 class _SyncEngine(_Engine):
-    def bound(self, team) -> int:
-        loops = 1
-        prefix = 0
-        for t in team:
-            loops = math.lcm(loops, len(t.loop))
-            if self.limits.max_lcm is not None and loops > self.limits.max_lcm:
-                raise BoundExceeded(
-                    f"loop lcm exceeds the cap of {self.limits.max_lcm}"
-                )
-            prefix = max(prefix, len(t.prefix))
-        return prefix + loops
+    def __init__(self, team, f, atoms, limits, mode):
+        super().__init__(team, f, atoms, limits, mode)
+        # length -> mask of the universe ids with that loop / prefix length
+        self._loops = self._by_length(self.loop_len)
+        self._prefixes = self._by_length(self.prefix_len)
 
-    def shifted(self, team, k: int):
-        return frozenset(suffix_encoding(t, k) for t in team)
+    @staticmethod
+    def _by_length(lengths: list[int]) -> dict[int, int]:
+        masks: dict[int, int] = {}
+        for u, length in enumerate(lengths):
+            masks[length] = masks.get(length, 0) | 1 << u
+        return masks
 
-    def eval(self, team, f) -> bool:
-        key = (team, id(f))
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        if self.pure(f) and (len(team) == 1 or self.flat(f)):
-            result = all(self.trace_value(t, f) for t in team)
-        else:
-            match f:
-                case PositiveLiteral() | NegativeLiteral() | DepAtom() | GenAtom():
-                    result = self.atom_value(team, f)
-                case ContradictoryNeg(sub=sub):
-                    result = not self.eval(team, sub)
-                case And(lhs=lhs, rhs=rhs):
-                    result = self.eval(team, lhs) and self.eval(team, rhs)
-                case Split():
-                    result = self.split_value(team, f)
-                case Next(sub=sub):
-                    result = self.eval(self.shifted(team, 1), sub)
-                case Eventually(sub=sub):
-                    bound = self.bound(team)
-                    result = any(
-                        self.eval(self.shifted(team, k), sub) for k in range(bound + 1)
-                    )
-                case Globally(sub=sub):
-                    bound = self.bound(team)
-                    result = all(
-                        self.eval(self.shifted(team, k), sub) for k in range(bound + 1)
-                    )
-                case Until(lhs=lhs, rhs=rhs):
-                    bound = self.bound(team)
-                    result = False
-                    for k in range(bound + 1):
-                        if self.eval(self.shifted(team, k), rhs) and all(
-                            self.eval(self.shifted(team, j), lhs) for j in range(k)
-                        ):
-                            result = True
-                            break
-                case Release(lhs=lhs, rhs=rhs):
-                    bound = self.bound(team)
-                    result = True
-                    for k in range(bound + 1):
-                        if not self.eval(self.shifted(team, k), rhs) and not any(
-                            self.eval(self.shifted(team, j), lhs) for j in range(k)
-                        ):
-                            result = False
-                            break
-                case _:
-                    raise AssertionError(f"not a formula node: {f!r}")
-        self.memo[key] = result
-        return result
+    def bound(self, mask: int) -> int:
+        loops = math.lcm(*(n for n, m in self._loops.items() if mask & m))
+        if self.limits.max_lcm is not None and loops > self.limits.max_lcm:
+            raise BoundExceeded(f"loop lcm exceeds the cap of {self.limits.max_lcm}")
+        return max((n for n, m in self._prefixes.items() if mask & m), default=0) + loops
+
+    def temporal(self, mask: int, n: int) -> bool:
+        """F, G, U and R over the lockstep shifts 0..prfx+lcm.
+
+        `a U b` holds iff b holds at some shift k and a holds at every
+        shift before k; `a R b` fails iff b fails at some shift k and a
+        fails at every shift before k.  Both look for a shift where b
+        equals `target` with a equal to `target` before it; F and G have
+        no a.  a is evaluated only once b has settled at a later shift,
+        and at each shift once, so the (team, node) pairs evaluated are
+        those of the direct reading of the definitions.
+        """
+        nodes = self.nodes
+        a, b = nodes.lhs[n], nodes.rhs[n]
+        target = nodes.kind[n] in (_F, _U)
+        bound = self.bound(mask)
+        shifted = earlier = mask
+        checked = 0  # a == target at shifts 0..checked-1
+        blocked = False  # a != target at shift `checked`
+        for k in range(bound + 1):
+            if self.eval(shifted, b) == target and not blocked:
+                while a is not None and checked < k:
+                    if self.eval(earlier, a) != target:
+                        blocked = True
+                        break
+                    checked += 1
+                    earlier = self.shift(earlier)
+                if not blocked:
+                    return target
+            shifted = self.shift(shifted)
+        return not target
 
 
 class _AsyncEngine(_Engine):
-    def __init__(self, atoms, limits, mode, flat_subformulas: bool):
-        super().__init__(atoms, limits, mode)
-        self.flat_subformulas = flat_subformulas
-        self._orbit_memo: dict = {}
-        self._orbits: dict = {}
+    def __init__(self, team, f, atoms, limits, mode, flat_subformulas: bool):
+        super().__init__(team, f, atoms, limits, mode)
+        if flat_subformulas:
+            # flatness: pure LTL holds on a team iff on every trace
+            self.shortcut = list(self.nodes.pure)
+        self._orbit_memo: list[dict[int, bool]] = [{} for _ in range(len(self.nodes))]
+        self._orbits: dict[int, list[int]] = {}
+        # Phase-blind team keys.  F and G quantify over all shift vectors,
+        # so their value on a team is unchanged when members are replaced
+        # by other suffixes of themselves; memoising on the multiset of
+        # member orbits collapses all those phase variants into one
+        # computation.  A trace with a prefix is alone in its orbit, and
+        # the rotations of one loop share theirs.  Each orbit gets a bit
+        # field wide enough to count its members, and a team's key is the
+        # sum of its members' field units.
+        self._orbit_unit = [0] * len(self.succ)
+        offset = 0
+        for u in range(len(self.succ)):
+            if self._orbit_unit[u]:
+                continue
+            cycle = [u] if self.prefix_len[u] else self.orbit(u)
+            for v in cycle:
+                self._orbit_unit[v] = 1 << offset
+            offset += len(cycle).bit_length()
 
-    @staticmethod
-    def classes(t: UPTrace) -> int:
-        return len(t.prefix) + len(t.loop)
+    def orbit(self, u: int) -> list[int]:
+        """Ids of trace u's |prefix| + |loop| suffixes, by shift."""
+        got = self._orbits.get(u)
+        if got is None:
+            got = [u]
+            for _ in range(self.prefix_len[u] + self.loop_len[u] - 1):
+                got.append(self.succ[got[-1]])
+            self._orbits[u] = got
+        return got
 
-    def orbit_key(self, team):
-        """Phase-blind team key: the multiset of per-trace shift orbits.
+    def orbit_key(self, members: list[int]) -> int:
+        return sum(map(self._orbit_unit.__getitem__, members))
 
-        F and G quantify over all shift vectors, so their value on a team
-        is unchanged when members are replaced by other suffixes of
-        themselves; memoising on the orbit multiset collapses all those
-        phase variants into one computation.
+    def temporal(self, mask: int, n: int) -> bool:
+        """F, G, U and R over vectors of per-trace shifts.
+
+        F and U ask for one shifted team satisfying b, G and R for all of
+        them.  Under U and R trace u's shift range stops at its first
+        suffix where a settles the side condition on its own: where a
+        fails (U), since later shifts would need it, or where a holds (R),
+        since beyond that release point u no longer constrains the team.
         """
-        counts: dict = {}
-        for t in team:
-            orb = self._orbits.get(t)
-            if orb is None:
-                orb = frozenset(
-                    suffix_encoding(t, k) for k in range(self.classes(t))
-                )
-                self._orbits[t] = orb
-            counts[orb] = counts.get(orb, 0) + 1
-        return frozenset(counts.items())
+        nodes = self.nodes
+        a, b = nodes.lhs[n], nodes.rhs[n]
+        exists = nodes.kind[n] in (_F, _U)
+        members = self.members(mask)
+        if a is None:
+            memo = self._orbit_memo[n]
+            key = self.orbit_key(members)
+            got = memo.get(key)
+            if got is None:
+                counts = [len(self.orbit(u)) for u in members]
+                got = memo[key] = self.quantify(members, counts, b, exists)
+            return got
+        counts = []
+        for u in members:
+            orbit = self.orbit(u)
+            count = len(orbit)
+            for j, v in enumerate(orbit):
+                if self.eval(1 << v, a) != exists:
+                    count = j + 1
+                    break
+            counts.append(count)
+        return self.quantify(members, counts, b, exists)
 
-    def vectors(self, members, ranges):
-        """Distinct shifted teams from per-trace shift ranges, budgeted."""
+    def quantify(self, members: list[int], counts: list[int], b: int, exists: bool) -> bool:
+        """Does some (exists) or every shifted team satisfy b?
+
+        Member u takes shifts 0..count-1; each distinct shifted team is
+        evaluated once, in the order of the vectors' first occurrence.
+        """
         space = 1
-        for r in ranges:
-            space *= len(r)
+        for count in counts:
+            space *= count
             if space > self.limits.max_grid:
                 raise VectorSpaceExceeded(
                     f"shift vector grid exceeds the cap of {self.limits.max_grid}"
                 )
-        suffixes = [
-            tuple(suffix_encoding(t, k) for k in r)
-            for t, r in zip(members, ranges)
-        ]
-        seen = set()
-        out = []
-        for combo in product(*suffixes):
-            shifted = frozenset(combo)
-            if shifted not in seen:
-                seen.add(shifted)
-                out.append(shifted)
-        return out
-
-    def singleton_holds(self, t: UPTrace, f) -> bool:
-        return self.eval(frozenset((t,)), f)
-
-    def eval(self, team, f) -> bool:
-        key = (team, id(f))
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        if self.pure(f) and (self.flat_subformulas or self.flat(f) or len(team) == 1):
-            # flatness: pure LTL holds on a team iff it holds on every trace
-            result = all(self.trace_value(t, f) for t in team)
-        else:
-            match f:
-                case PositiveLiteral() | NegativeLiteral() | DepAtom() | GenAtom():
-                    result = self.atom_value(team, f)
-                case ContradictoryNeg(sub=sub):
-                    result = not self.eval(team, sub)
-                case And(lhs=lhs, rhs=rhs):
-                    result = self.eval(team, lhs) and self.eval(team, rhs)
-                case Split():
-                    result = self.split_value(team, f)
-                case Next(sub=sub):
-                    result = self.eval(
-                        frozenset(suffix_encoding(t, 1) for t in team), sub
-                    )
-                case Eventually(sub=sub):
-                    okey = (self.orbit_key(team), id(f))
-                    cached = self._orbit_memo.get(okey)
-                    if cached is None:
-                        members = sorted(team, key=serialize_trace)
-                        ranges = [range(self.classes(t)) for t in members]
-                        cached = any(
-                            self.eval(s, sub) for s in self.vectors(members, ranges)
-                        )
-                        self._orbit_memo[okey] = cached
-                    result = cached
-                case Globally(sub=sub):
-                    okey = (self.orbit_key(team), id(f))
-                    cached = self._orbit_memo.get(okey)
-                    if cached is None:
-                        members = sorted(team, key=serialize_trace)
-                        ranges = [range(self.classes(t)) for t in members]
-                        cached = all(
-                            self.eval(s, sub) for s in self.vectors(members, ranges)
-                        )
-                        self._orbit_memo[okey] = cached
-                    result = cached
-                case Until(lhs=lhs, rhs=rhs):
-                    members = sorted(team, key=serialize_trace)
-                    ranges = []
-                    for t in members:
-                        stop = None
-                        for j in range(self.classes(t)):
-                            if not self.singleton_holds(suffix_encoding(t, j), lhs):
-                                stop = j
-                                break
-                        # k_t may equal the first failure point (the side
-                        # condition constrains strictly earlier suffixes)
-                        ranges.append(
-                            range(stop + 1) if stop is not None else range(self.classes(t))
-                        )
-                    result = any(
-                        self.eval(s, rhs) for s in self.vectors(members, ranges)
-                    )
-                case Release(lhs=lhs, rhs=rhs):
-                    members = sorted(team, key=serialize_trace)
-                    ranges = []
-                    for t in members:
-                        release = None
-                        for j in range(self.classes(t)):
-                            if self.singleton_holds(suffix_encoding(t, j), lhs):
-                                release = j
-                                break
-                        # beyond its release point a trace no longer
-                        # constrains the team
-                        ranges.append(
-                            range(release + 1)
-                            if release is not None
-                            else range(self.classes(t))
-                        )
-                    result = all(
-                        self.eval(s, rhs) for s in self.vectors(members, ranges)
-                    )
-                case _:
-                    raise AssertionError(f"not a formula node: {f!r}")
-        self.memo[key] = result
-        return result
+        teams = [0]
+        for u, count in zip(members, counts):
+            bits = [1 << v for v in self.orbit(u)[:count]]
+            teams = list(dict.fromkeys(t | bit for t in teams for bit in bits))
+        for t in teams:
+            if self.eval(t, b) == exists:
+                return exists
+        return not exists
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
 
-def _prepare(team, f, atoms, limits, split_mode):
-    fragment_info(f, atoms)  # validates atom registration and arities
-    mode = split_mode if split_mode is not None else _pick_mode(f, atoms)
-    members = frozenset(team)
-    return members, mode, limits if limits is not None else DEFAULT_LIMITS
+def _prepare(f, atoms, limits, split_mode):
+    info = fragment_info(f, atoms)  # validates atom registration and arities
+    if split_mode is None:
+        split_mode = (
+            SplitMode.DISJOINT_ONLY if info.downward_closed_syntactic else SplitMode.ALL_COVERS
+        )
+    return info, split_mode, limits if limits is not None else DEFAULT_LIMITS
 
 
 def check_sync(
@@ -558,9 +651,9 @@ def check_sync(
     split_mode: SplitMode | None = None,
 ) -> bool:
     """Does the team satisfy f under synchronous semantics?"""
-    members, mode, limits = _prepare(team, f, atoms, limits, split_mode)
-    engine = _SyncEngine(atoms, limits, mode)
-    return engine.eval(members, f)
+    _, mode, limits = _prepare(f, atoms, limits, split_mode)
+    engine = _SyncEngine(team, f, atoms, limits, mode)
+    return engine.eval(engine.team, engine.nodes.root)
 
 
 def check_async(
@@ -576,11 +669,11 @@ def check_async(
     trace satisfies it on its own); everything else through the shift
     vector engine.
     """
-    members, mode, limits = _prepare(team, f, atoms, limits, split_mode)
-    engine = _AsyncEngine(atoms, limits, mode, flat_subformulas=True)
-    if engine.pure(f):
-        return all(check_trace(t, f) for t in members)
-    return engine.eval(members, f)
+    info, mode, limits = _prepare(f, atoms, limits, split_mode)
+    if info.pure_ltl:
+        return all(check_trace(t, f) for t in team)
+    engine = _AsyncEngine(team, f, atoms, limits, mode, flat_subformulas=True)
+    return engine.eval(engine.team, engine.nodes.root)
 
 
 def check_async_general(
@@ -597,6 +690,6 @@ def check_async_general(
     through the literal vector clauses (slower; used to cross-check the
     flatness shortcut).
     """
-    members, mode, limits = _prepare(team, f, atoms, limits, split_mode)
-    engine = _AsyncEngine(atoms, limits, mode, flat_subformulas=flat_subformulas)
-    return engine.eval(members, f)
+    _, mode, limits = _prepare(f, atoms, limits, split_mode)
+    engine = _AsyncEngine(team, f, atoms, limits, mode, flat_subformulas=flat_subformulas)
+    return engine.eval(engine.team, engine.nodes.root)

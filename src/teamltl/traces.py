@@ -89,9 +89,21 @@ def value_at(trace: UPTrace, i: int) -> PropSet:
     return trace.loop[(i - len(trace.prefix)) % len(trace.loop)]
 
 
-@lru_cache(maxsize=1 << 16)
 def suffix_encoding(trace: UPTrace, i: int) -> UPTrace:
-    """Canonical encoding of the suffix trace starting at position i."""
+    """Canonical encoding of the suffix trace starting at position i.
+
+    Positions past the prefix are reduced to their class modulo the loop
+    before the cache lookup, so i and i + |loop| share one cache entry;
+    `cache_info()` and `cache_clear()` report on and reset that cache.
+    """
+    p = len(trace.prefix)
+    if i > p:
+        i = p + (i - p) % len(trace.loop)
+    return _suffix_class(trace, i)
+
+
+@lru_cache(maxsize=1 << 16)
+def _suffix_class(trace: UPTrace, i: int) -> UPTrace:
     if i < 0:
         raise ValueError("suffix position must be nonnegative")
     if i == 0:
@@ -99,10 +111,12 @@ def suffix_encoding(trace: UPTrace, i: int) -> UPTrace:
     p = len(trace.prefix)
     if i <= p:
         return UPTrace(trace.prefix[i:], trace.loop)
-    r = (i - p) % len(trace.loop)
-    if r == 0 and not trace.prefix:
-        return trace
+    r = i - p
     return UPTrace((), trace.loop[r:] + trace.loop[:r])
+
+
+suffix_encoding.cache_info = _suffix_class.cache_info
+suffix_encoding.cache_clear = _suffix_class.cache_clear
 
 
 class Team:

@@ -137,6 +137,23 @@ def test_sat_unsat(run):
     assert run("sat", "--semantics", "sync", "--formula", "p & !p") == (1, "UNSAT\n")
 
 
+def test_sat_long_inline_formula(run):
+    # longer than a file name may be: still read as formula text
+    formula = " & ".join(["alpha", "beta", "gamma"] * 20)
+    assert len(formula) > 255
+    assert run("sat", "--semantics", "sync", "--formula", formula) == (
+        0,
+        "SAT\n{alpha,beta,gamma} ; {}\n",
+    )
+
+
+def test_sat_deeply_nested_formula_is_input_error(run, tmp_path):
+    deep = tmp_path / "deep.ltl"
+    deep.write_text("X " * 600 + "!q\n")
+    code, out = run("sat", "--semantics", "sync", "--formula", str(deep))
+    assert (code, out) == (2, "ERROR formula nested too deep\n")
+
+
 def test_sat_rejects_contradictory_negation(run):
     code, out = run("sat", "--semantics", "sync", "--formula", "~p")
     assert code == 3 and out.startswith("UNSUPPORTED")

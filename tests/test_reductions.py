@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -20,6 +21,7 @@ from teamltl.formula import (
     DepAtom,
     Eventually,
     GenAtom,
+    Globally,
     NegativeLiteral,
     PositiveLiteral,
     Split,
@@ -28,7 +30,6 @@ from teamltl.kripke import traces_team_finite, validate_kripke
 from teamltl.reductions import (
     QBF_VAR_CAP,
     QBFInstance,
-    _qbf_async_literal_split,
     parse_qbf,
     pl_team_brute_force,
     qbf_brute_force,
@@ -38,7 +39,7 @@ from teamltl.reductions import (
     reduce_qbf_sync,
 )
 from teamltl.teamcheck import check_async, check_sync
-from teamltl.traces import UPTrace
+from teamltl.traces import Team, UPTrace
 
 from .util import exhaustive_qbf, random_qbf
 
@@ -280,6 +281,66 @@ def test_reduce_qbf_async_edge_instances(text):
     q = parse_qbf(text)
     team, g = reduce_qbf_async_dep(q)
     assert check_async(team, g) == qbf_brute_force(q)
+
+
+def _qbf_async_literal_split(
+    q: QBFInstance, annotate_choice_props: bool = True
+) -> tuple[Team, Formula]:
+    """Variant asynchronous encoding whose matrix splits on literal props.
+
+    Every trace for variable i carries, at every position, both assignment
+    propositions of every other variable, so each clause's splitjunction of
+    literal propositions can absorb every surviving trace somewhere.  That
+    absorption is exactly what breaks the variant: a clause mentioning two
+    distinct variables can never be falsified, because each misfit trace
+    parks in a part owned by the other variable (pinned by a regression
+    test on `prefix: A x A y / clause: x y y`).  With
+    `annotate_choice_props` unset the traces also drop the foreign s_j
+    markers, and then the universal split cannot place foreign traces at
+    all, failing in the opposite direction.  Kept as the documented
+    failure mode motivating the exclusion-atom matrix of
+    reduce_qbf_async_dep.
+    """
+    n = len(q.prefix)
+    traces = []
+    for i in range(1, n + 1):
+        ann: set[str] = set()
+        for j in range(1, n + 1):
+            if j != i:
+                ann.add(f"p{j}")
+                ann.add(f"p{j}_bar")
+                if annotate_choice_props:
+                    ann.add(f"s{j}")
+        pi, qi, ri, si = f"p{i}", f"q{i}", f"r{i}", f"s{i}"
+        traces.append(UPTrace((), (frozenset({pi, qi, ri, si} | ann),)))
+        traces.append(
+            UPTrace(
+                (),
+                (
+                    frozenset({qi, ri, f"p{i}_bar"} | ann),
+                    frozenset({qi, si, f"p{i}_bar"} | ann),
+                ),
+            )
+        )
+
+    position = {var: i for i, var in enumerate(q.variables, start=1)}
+    clause_parts = []
+    for clause in q.clauses:
+        literals = [
+            PositiveLiteral(f"p{position[var]}" if positive else f"p{position[var]}_bar")
+            for var, positive in clause
+        ]
+        clause_parts.append(reduce(Split, literals))
+    g = reduce(And, clause_parts)
+    for quant, var in reversed(q.prefix):
+        i = position[var]
+        dep = DepAtom((), (f"p{i}",))
+        if quant == "E":
+            g = Split(And(PositiveLiteral(f"q{i}"), dep), g)
+        else:
+            keep = And(And(dep, PositiveLiteral(f"q{i}")), PositiveLiteral(f"r{i}"))
+            g = Globally(Split(keep, And(PositiveLiteral(f"s{i}"), g)))
+    return Team(traces), g
 
 
 def test_literal_split_variant_is_unsound():

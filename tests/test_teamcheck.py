@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamltl.classical import check_trace
+from teamltl.classical import check_trace, trace_values
 from teamltl.errors import BoundExceeded, DuplicateName, UnknownAtom, VectorSpaceExceeded
 from teamltl.formula import Split, parse_formula
 from teamltl.teamcheck import (
@@ -22,9 +22,18 @@ from teamltl.teamcheck import (
     eval_dep_atom,
     register_gen_atom,
 )
-from teamltl.traces import Team, UPTrace, lcm, parse_team, parse_trace_line, prfx, team_suffix
+from teamltl.traces import (
+    Team,
+    UPTrace,
+    lcm,
+    parse_team,
+    parse_trace_line,
+    prfx,
+    suffix_encoding,
+    team_suffix,
+)
 
-from .util import formulas, nonempty_teams, random_formula, random_team, teams
+from .util import formulas, letters, nonempty_teams, random_formula, random_team, teams, up_traces
 
 E = frozenset()
 
@@ -253,6 +262,67 @@ def test_sync_engine_matches_naive_reference_with_neg(team, f):
 
 
 # ---------------------------------------------------------------------------
+# the integer kernel on teams whose members share suffix orbits
+
+
+@st.composite
+def orbit_sharing_teams(draw):
+    """A trace, some of its own suffixes, and maybe a prefixed trace that
+    enters a rotation of its loop: members whose orbits overlap."""
+    t = draw(up_traces(max_prefix=2, max_loop=3))
+    members = {t} | {suffix_encoding(t, k) for k in draw(st.lists(st.integers(1, 6), max_size=3))}
+    if draw(st.booleans()):
+        r = draw(st.integers(0, len(t.loop) - 1))
+        members.add(UPTrace((draw(letters()),), t.loop[r:] + t.loop[:r]))
+    return Team(members)
+
+
+@st.composite
+def coprime_loop_teams(draw):
+    """Loops of pairwise coprime lengths 2, 3 and 5 (lcm 30)."""
+    return Team(
+        UPTrace(
+            tuple(draw(st.lists(letters(), max_size=1))),
+            tuple(draw(st.lists(letters(), min_size=n, max_size=n))),
+        )
+        for n in (2, 3, 5)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_sharing_teams(), formulas(max_leaves=4, allow_dep=True))
+def test_sync_kernel_on_shared_orbits(team, f):
+    assert check_sync(team, f) == naive_sync(team, f, SplitMode.DISJOINT_ONLY)
+
+
+@settings(max_examples=75, deadline=None)
+@given(orbit_sharing_teams(), formulas(max_leaves=3, allow_neg=True))
+def test_sync_kernel_on_shared_orbits_with_neg(team, f):
+    assert check_sync(team, f) == naive_sync(team, f, SplitMode.ALL_COVERS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_sharing_teams(), formulas(max_leaves=4, allow_dep=True))
+def test_async_kernel_on_shared_orbits(team, f):
+    assert check_async(team, f) == check_async_general(team, f, flat_subformulas=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_loop_teams(), formulas(max_leaves=3, allow_dep=True))
+def test_kernels_on_coprime_loops(team, f):
+    assert check_sync(team, f) == naive_sync(team, f, SplitMode.DISJOINT_ONLY)
+    assert check_async(team, f) == check_async_general(team, f, flat_subformulas=False)
+
+
+@settings(max_examples=200)
+@given(up_traces(), formulas(max_leaves=6, allow_neg=True))
+def test_trace_values_match_suffix_checks(t, f):
+    values = trace_values(t, f)
+    assert len(values) == len(t.prefix) + len(t.loop)
+    assert values == [check_trace(suffix_encoding(t, i), f) for i in range(len(values))]
+
+
+# ---------------------------------------------------------------------------
 # semantic properties
 
 
@@ -371,3 +441,14 @@ def test_async_orbit_memo_distinguishes_rotation_multiplicity():
     # succeeds on {b0} / {b1} while the negated conjunct re-checks the pair
     f = parse_formula("(G dep(; p) | G dep(; p)) & ~ G dep(; p)")
     assert check_async(pair, f) is True
+
+
+def test_async_orbit_memo_keeps_prefixed_trace_apart_from_its_loop():
+    """A trace with a prefix and its own loop suffix have different orbits;
+    G on the singleton of one must not answer for the other."""
+    t = T("{p} ; {}")
+    loop = suffix_encoding(t, 1)
+    g = parse_formula("G (!p & dep(; q))")
+    assert check_async(Team([loop]), g) is True
+    assert check_async(Team([t]), g) is False
+    assert check_async(Team([t, loop]), parse_formula("G (!p & dep(; q)) | G (!p & dep(; q))")) is False

@@ -95,6 +95,19 @@ def test_suffix_encoding_pinned():
     assert suffix_encoding(t, 4) == UPTrace((), (E, Spq))
 
 
+def test_suffix_encoding_caches_position_classes():
+    # positions past the prefix that differ by the loop length denote the
+    # same suffix and share one cache entry
+    t = UPTrace((Sp,), (Sq, E, Spq))
+    suffix_encoding.cache_clear()
+    first = suffix_encoding(t, 2)
+    again = suffix_encoding(t, 2 + 3)
+    later = suffix_encoding(t, 2 + 3 * 40)
+    assert first == again == later == UPTrace((), (E, Spq, Sq))
+    info = suffix_encoding.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
 def test_suffix_encoding_rejects_negative():
     with pytest.raises(ValueError):
         suffix_encoding(UPTrace((), (E,)), -1)
