@@ -38,122 +38,218 @@ from .traces import PropSet, UPTrace
 
 
 # ---------------------------------------------------------------------------
-# Direct trace checking
+# Formula nodes and evaluation over successor graphs
 # ---------------------------------------------------------------------------
+
+# node kinds; a unary node keeps its operand in `rhs` and has no `lhs`,
+# which lets temporal evaluation read F b as (true U b) and G b as
+# (false R b)
+_POS, _NEG, _DEP, _GEN, _NOT, _AND, _SPLIT, _NEXT, _F, _G, _U, _R = range(12)
+
+_LEAF = {PositiveLiteral: _POS, NegativeLiteral: _NEG, DepAtom: _DEP, GenAtom: _GEN}
+_UNARY = {ContradictoryNeg: _NOT, Next: _NEXT, Eventually: _F, Globally: _G}
+_BINARY = {And: _AND, Split: _SPLIT, Until: _U, Release: _R}
+
+
+class _Nodes:
+    """A formula as a hash-consed DAG of numbered nodes.
+
+    Nodes are numbered bottom-up by an explicit-stack walk; a leaf is
+    keyed by its (flat, cheaply hashed) dataclass and an inner node by its
+    kind and operand numbers, so equal subformulas get one number.
+    """
+
+    def __init__(self, f: Formula):
+        self.formula: list[Formula] = []  # a representative per node
+        self.kind: list[int] = []
+        self.lhs: list[int | None] = []
+        self.rhs: list[int | None] = []
+        self.pure: list[bool] = []  # no dependence atom, generalised atom or ~
+        self.flat: list[bool] = []  # literals, And, Split and Next only
+        self._parts: dict[int, list[int]] = {}
+        table: dict = {}
+        number: dict[int, int] = {}  # id(subformula) -> node
+        stack = [(f, False)]
+        while stack:
+            g, ready = stack.pop()
+            if id(g) in number:
+                continue
+            cls = type(g)
+            if not ready:
+                stack.append((g, True))
+                if cls in _BINARY:
+                    stack.append((g.rhs, False))
+                    stack.append((g.lhs, False))
+                elif cls in _UNARY:
+                    stack.append((g.sub, False))
+                continue
+            if cls in _BINARY:
+                kind = _BINARY[cls]
+                a, b = number[id(g.lhs)], number[id(g.rhs)]
+                key = (kind, a, b)
+                pure = self.pure[a] and self.pure[b]
+                flat = kind in (_AND, _SPLIT) and self.flat[a] and self.flat[b]
+            elif cls in _UNARY:
+                kind = _UNARY[cls]
+                a, b = None, number[id(g.sub)]
+                key = (kind, b)
+                pure = kind != _NOT and self.pure[b]
+                flat = kind == _NEXT and self.flat[b]
+            elif cls in _LEAF:
+                kind = _LEAF[cls]
+                a = b = None
+                key = g
+                pure = flat = kind in (_POS, _NEG)
+            else:
+                raise UnsupportedFragment(f"cannot check {g!r} on a trace")
+            n = table.get(key)
+            if n is None:
+                n = table[key] = len(self.kind)
+                self.formula.append(g)
+                self.kind.append(kind)
+                self.lhs.append(a)
+                self.rhs.append(b)
+                self.pure.append(pure)
+                self.flat.append(flat)
+            number[id(g)] = n
+        self.root = number[id(f)]
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def parts(self, n: int) -> list[int]:
+        """Operands of the maximal Split chain at n, left to right."""
+        got = self._parts.get(n)
+        if got is None:
+            got = []
+            stack = [n]
+            while stack:
+                m = stack.pop()
+                if self.kind[m] == _SPLIT:
+                    stack.append(self.rhs[m])
+                    stack.append(self.lhs[m])
+                else:
+                    got.append(m)
+            self._parts[n] = got
+        return got
+
+
+def _cycles_and_tails(succ: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Split a functional graph into its cycles and the ids off them.
+
+    Each cycle lists its ids in successor order.  The tail ids come
+    successor-first: every tail id follows the id it steps to.
+    """
+    state = [0] * len(succ)  # 0 unseen, 1 on the current walk, 2 done
+    cycles: list[list[int]] = []
+    tails: list[int] = []
+    for u in range(len(succ)):
+        path = []
+        while not state[u]:
+            state[u] = 1
+            path.append(u)
+            u = succ[u]
+        closed = state[u] == 1  # the walk ran into itself: a new cycle
+        for v in path:
+            state[v] = 2
+        if closed:
+            at = path.index(u)
+            cycles.append(path[at:])
+            del path[at:]
+        tails.extend(reversed(path))
+    return cycles, tails
+
+
+def _until(a, b, cycles, tails, succ) -> list[bool]:
+    """Least fixpoint of v = b or (a and v∘succ); a None reads as true.
+
+    On a cycle without b, v is false throughout.  Otherwise v is true
+    where b is, and a walk backwards round the cycle from there settles
+    every other id; the tails then follow, each after its successor.
+    """
+    if a is None:
+        a = [True] * len(succ)
+    v = [False] * len(succ)
+    for cycle in cycles:
+        j = next((i for i, u in enumerate(cycle) if b[u]), None)
+        if j is None:
+            continue
+        later = v[cycle[j]] = True
+        for i in range(j - 1, j - len(cycle), -1):
+            u = cycle[i]
+            later = v[u] = b[u] or (a[u] and later)
+    for u in tails:
+        v[u] = b[u] or (a[u] and v[succ[u]])
+    return v
+
+
+def _negate(v):
+    return None if v is None else [not x for x in v]
+
+
+def node_values(nodes: _Nodes, succ: list[int], letters, wanted=None) -> list:
+    """Truth value of every wanted node on every id of a functional graph.
+
+    Id u stands for the trace whose first letter is letters[u] and whose
+    one-step suffix is id succ[u].  Entry n of the result is node n's
+    list of values by id, or None when n is not wanted (`wanted` holds a
+    flag per node; None wants every node).  The operands of a wanted node
+    must be wanted too.  One pass over the nodes, which are numbered
+    bottom-up, computes each value from its operands': literals read
+    `letters`, And is and, Split is or (the pure reading), X reads
+    `succ`, and ContradictoryNeg is classical negation, since on a single
+    trace both negations coincide.  U and F are least fixpoints, taken
+    with one pass per cycle of the graph and one over its tails; R and G
+    are their duals, a R b = ~(~a U ~b).
+    """
+    cycles, tails = _cycles_and_tails(succ)
+    values: list = [None] * len(nodes)
+    for n in range(len(nodes)):
+        if wanted is not None and not wanted[n]:
+            continue
+        kind = nodes.kind[n]
+        a = None if nodes.lhs[n] is None else values[nodes.lhs[n]]
+        b = None if nodes.rhs[n] is None else values[nodes.rhs[n]]
+        if kind in (_POS, _NEG):
+            name, positive = nodes.formula[n].name, kind == _POS
+            v = [(name in letter) == positive for letter in letters]
+        elif kind == _NOT:
+            v = _negate(b)
+        elif kind == _AND:
+            v = [x and y for x, y in zip(a, b)]
+        elif kind == _SPLIT:
+            v = [x or y for x, y in zip(a, b)]
+        elif kind == _NEXT:
+            v = [b[s] for s in succ]
+        elif kind in (_F, _U):
+            v = _until(a, b, cycles, tails, succ)
+        elif kind in (_G, _R):
+            v = _negate(_until(_negate(a), _negate(b), cycles, tails, succ))
+        else:
+            raise UnsupportedFragment(
+                "dependence and generalised atoms have no classical "
+                "single-trace meaning"
+            )
+        values[n] = v
+    return values
+
+
+def trace_values(trace: UPTrace, f: Formula) -> list[bool]:
+    """Truth value of f at each of the |prefix| + |loop| distinct positions.
+
+    Entry i is the value of f on the suffix starting at position i.  This
+    is `node_values` on the trace's own positions, where position i steps
+    to i + 1 and the last position back to the loop start.
+    """
+    letters = trace.prefix + trace.loop
+    succ = list(range(1, len(letters))) + [len(trace.prefix)]
+    nodes = _Nodes(f)
+    return node_values(nodes, succ, letters)[nodes.root]
 
 
 def check_trace(trace: UPTrace, f: Formula) -> bool:
     """Decide trace |= f for a single ultimately periodic trace."""
     return trace_values(trace, f)[0]
-
-
-def _operands(g: Formula) -> tuple:
-    match g:
-        case And(lhs=a, rhs=b) | Split(lhs=a, rhs=b) | Until(lhs=a, rhs=b) | Release(lhs=a, rhs=b):
-            return (a, b)
-        case Next(sub=s) | Eventually(sub=s) | Globally(sub=s) | ContradictoryNeg(sub=s):
-            return (s,)
-    return ()
-
-
-def trace_values(trace: UPTrace, f: Formula, memo: dict | None = None) -> list[bool]:
-    """Truth value of f at each of the |prefix| + |loop| distinct positions.
-
-    Entry i is the value of f on the suffix starting at position i.  Every
-    subformula's vector is computed once, bottom-up by an explicit-stack
-    walk, so nesting depth is not limited by the interpreter's stack.
-    Until is a least fixpoint over the loop (iterate to stability, then a
-    backward pass over the prefix); Release is the greatest-fixpoint dual.
-    ContradictoryNeg is classical negation here, since on a single trace
-    both negations coincide.
-
-    `memo` maps id(subformula) to its vector on this trace; a caller that
-    keeps it across calls must keep the formulas alive as long as it.
-    """
-    if memo is None:
-        memo = {}
-    got = memo.get(id(f))
-    if got is not None:
-        return got
-    letters = trace.prefix + trace.loop
-    start = len(trace.prefix)
-    n = len(letters)
-    succ = list(range(1, n)) + [start]
-    loop_positions = range(start, n)
-    stack = [(f, False)]
-    while stack:
-        g, ready = stack.pop()
-        if id(g) in memo:
-            continue
-        if not ready:
-            stack.append((g, True))
-            stack.extend((sub, False) for sub in reversed(_operands(g)))
-            continue
-        match g:
-            case PositiveLiteral(name=name):
-                v = [name in letter for letter in letters]
-            case NegativeLiteral(name=name):
-                v = [name not in letter for letter in letters]
-            case ContradictoryNeg(sub=sub):
-                v = [not x for x in memo[id(sub)]]
-            case And(lhs=lhs, rhs=rhs):
-                v = [x and y for x, y in zip(memo[id(lhs)], memo[id(rhs)])]
-            case Split(lhs=lhs, rhs=rhs):
-                v = [x or y for x, y in zip(memo[id(lhs)], memo[id(rhs)])]
-            case Next(sub=sub):
-                a = memo[id(sub)]
-                v = [a[succ[i]] for i in range(n)]
-            case Eventually(sub=sub):
-                a = memo[id(sub)]
-                v = [False] * n
-                hit = any(a[i] for i in loop_positions)
-                for i in loop_positions:
-                    v[i] = hit
-                for i in range(start - 1, -1, -1):
-                    v[i] = a[i] or v[i + 1]
-            case Globally(sub=sub):
-                a = memo[id(sub)]
-                v = [False] * n
-                hold = all(a[i] for i in loop_positions)
-                for i in loop_positions:
-                    v[i] = hold
-                for i in range(start - 1, -1, -1):
-                    v[i] = a[i] and v[i + 1]
-            case Until(lhs=lhs, rhs=rhs):
-                a, b = memo[id(lhs)], memo[id(rhs)]
-                v = list(b)
-                changed = True
-                while changed:  # least fixpoint over the loop
-                    changed = False
-                    for i in range(n - 1, start - 1, -1):
-                        new = b[i] or (a[i] and v[succ[i]])
-                        if new != v[i]:
-                            v[i] = new
-                            changed = True
-                for i in range(start - 1, -1, -1):
-                    v[i] = b[i] or (a[i] and v[i + 1])
-            case Release(lhs=lhs, rhs=rhs):
-                a, b = memo[id(lhs)], memo[id(rhs)]
-                v = [True] * n
-                changed = True
-                while changed:  # greatest fixpoint over the loop
-                    changed = False
-                    for i in range(n - 1, start - 1, -1):
-                        new = b[i] and (a[i] or v[succ[i]])
-                        if new != v[i]:
-                            v[i] = new
-                            changed = True
-                for i in range(start - 1, -1, -1):
-                    v[i] = b[i] and (a[i] or v[i + 1])
-            case DepAtom() | GenAtom():
-                raise UnsupportedFragment(
-                    "dependence and generalised atoms have no classical "
-                    "single-trace meaning"
-                )
-            case _:
-                raise UnsupportedFragment(f"cannot check {g!r} on a trace")
-        memo[id(g)] = v
-    return memo[id(f)]
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="team satisfiability; prints a witness trace")
     p.add_argument("--semantics", choices=("sync", "async"), required=True)
     p.add_argument("--formula", required=True, metavar="FORMULA", help="file or inline")
-    _add_budget_flags(p)
     p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("reduce", help="emit a hardness-reduction instance")

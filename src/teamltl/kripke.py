@@ -158,22 +158,24 @@ def traces_team_finite(k: KripkeStructure) -> Team | None:
         if world in on_cycle and len(k.edges[world]) >= 2:
             return None
 
+    # depth-first over simple paths from init, each successor list in
+    # order; an edge back into the path closes one lasso
     traces: list[UPTrace] = []
-
-    def walk(path: list[str], seen_at: dict[str, int]):
-        world = path[-1]
-        for succ in k.edges[world]:
-            if succ in seen_at:
-                at = seen_at[succ]
-                stem = [k.labels[w] for w in path[:at]]
-                cycle = [k.labels[w] for w in path[at:]]
-                traces.append(UPTrace(tuple(stem), tuple(cycle)))
-            else:
-                seen_at[succ] = len(path)
-                path.append(succ)
-                walk(path, seen_at)
-                path.pop()
-                del seen_at[succ]
-
-    walk([k.init], {k.init: 0})
+    path = [k.init]
+    seen_at = {k.init: 0}
+    pending = [iter(k.edges[k.init])]
+    while pending:
+        succ = next(pending[-1], None)
+        if succ is None:
+            pending.pop()
+            del seen_at[path.pop()]
+        elif succ in seen_at:
+            at = seen_at[succ]
+            stem = [k.labels[w] for w in path[:at]]
+            cycle = [k.labels[w] for w in path[at:]]
+            traces.append(UPTrace(tuple(stem), tuple(cycle)))
+        else:
+            seen_at[succ] = len(path)
+            path.append(succ)
+            pending.append(iter(k.edges[succ]))
     return Team(traces)

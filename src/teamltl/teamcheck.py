@@ -32,10 +32,11 @@ the successor table, subteams are submasks, and iterating a mask's bits
 from low to high visits members in serialised order, the order atoms and
 split search see.  Formula nodes are hash-consed once by an iterative
 walk (structurally equal subformulas share one number), with their pure
-and flat flags in arrays, and the memo is keyed by (mask, node).  A pure
-node's value on every universe trace comes from one `trace_values` vector
-per member orbit, kept as the mask of ids that satisfy it; per-trace
-checks are then one mask test.
+and flat flags in arrays, and the memo is keyed by (mask, node).  Every
+pure node's value on every universe trace comes from one
+`classical.node_values` pass over the successor graph at construction,
+kept as the mask of ids that satisfy it; per-trace checks are then one
+mask test.
 """
 
 from __future__ import annotations
@@ -46,24 +47,21 @@ from enum import Enum
 from itertools import product
 from typing import Callable
 
-from .classical import check_trace, trace_values
-from .errors import BoundExceeded, DuplicateName, UnknownAtom, VectorSpaceExceeded
-from .formula import (
-    And,
-    ContradictoryNeg,
-    DepAtom,
-    Eventually,
-    Formula,
-    GenAtom,
-    Globally,
-    NegativeLiteral,
-    Next,
-    PositiveLiteral,
-    Release,
-    Split,
-    Until,
-    fragment_info,
+from .classical import (
+    _AND,
+    _DEP,
+    _F,
+    _GEN,
+    _NEXT,
+    _NOT,
+    _SPLIT,
+    _U,
+    _Nodes,
+    check_trace,
+    node_values,
 )
+from .errors import BoundExceeded, DuplicateName, UnknownAtom, VectorSpaceExceeded
+from .formula import Formula, fragment_info
 from .traces import PropSet, Team, serialize_trace, suffix_encoding
 
 
@@ -174,103 +172,13 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
-
-# ---------------------------------------------------------------------------
-# formula nodes
-
-# node kinds; a unary node keeps its operand in `rhs` and has no `lhs`,
-# which lets the temporal helpers read F b as (true U b) and G b as
-# (false R b)
-_POS, _NEG, _DEP, _GEN, _NOT, _AND, _SPLIT, _NEXT, _F, _G, _U, _R = range(12)
-
-_LEAF = {PositiveLiteral: _POS, NegativeLiteral: _NEG, DepAtom: _DEP, GenAtom: _GEN}
-_UNARY = {ContradictoryNeg: _NOT, Next: _NEXT, Eventually: _F, Globally: _G}
-_BINARY = {And: _AND, Split: _SPLIT, Until: _U, Release: _R}
-
-
-class _Nodes:
-    """A formula as a hash-consed DAG of numbered nodes.
-
-    Nodes are numbered bottom-up by an explicit-stack walk; a leaf is
-    keyed by its (flat, cheaply hashed) dataclass and an inner node by its
-    kind and operand numbers, so equal subformulas get one number.
-    """
-
-    def __init__(self, f: Formula):
-        self.formula: list[Formula] = []  # a representative per node
-        self.kind: list[int] = []
-        self.lhs: list[int | None] = []
-        self.rhs: list[int | None] = []
-        self.pure: list[bool] = []  # no dependence atom, generalised atom or ~
-        self.flat: list[bool] = []  # literals, And, Split and Next only
-        self._parts: dict[int, list[int]] = {}
-        table: dict = {}
-        number: dict[int, int] = {}  # id(subformula) -> node
-        stack = [(f, False)]
-        while stack:
-            g, ready = stack.pop()
-            if id(g) in number:
-                continue
-            cls = type(g)
-            if not ready:
-                stack.append((g, True))
-                if cls in _BINARY:
-                    stack.append((g.rhs, False))
-                    stack.append((g.lhs, False))
-                elif cls in _UNARY:
-                    stack.append((g.sub, False))
-                continue
-            if cls in _BINARY:
-                kind = _BINARY[cls]
-                a, b = number[id(g.lhs)], number[id(g.rhs)]
-                key = (kind, a, b)
-                pure = self.pure[a] and self.pure[b]
-                flat = kind in (_AND, _SPLIT) and self.flat[a] and self.flat[b]
-            elif cls in _UNARY:
-                kind = _UNARY[cls]
-                a, b = None, number[id(g.sub)]
-                key = (kind, b)
-                pure = kind != _NOT and self.pure[b]
-                flat = kind == _NEXT and self.flat[b]
-            else:
-                kind = _LEAF[cls]
-                a = b = None
-                key = g
-                pure = flat = kind in (_POS, _NEG)
-            n = table.get(key)
-            if n is None:
-                n = table[key] = len(self.kind)
-                self.formula.append(g)
-                self.kind.append(kind)
-                self.lhs.append(a)
-                self.rhs.append(b)
-                self.pure.append(pure)
-                self.flat.append(flat)
-            number[id(g)] = n
-        self.root = number[id(f)]
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-    def parts(self, n: int) -> list[int]:
-        """Operands of the maximal Split chain at n, left to right."""
-        got = self._parts.get(n)
-        if got is None:
-            got = []
-            stack = [n]
-            while stack:
-                m = stack.pop()
-                if self.kind[m] == _SPLIT:
-                    stack.append(self.rhs[m])
-                    stack.append(self.lhs[m])
-                else:
-                    got.append(m)
-            self._parts[n] = got
-        return got
-
-
 # ---------------------------------------------------------------------------
 # engines
+
+
+def _mask(values: list[bool]) -> int:
+    """The int whose bit u is values[u], built in linear time."""
+    return int("0" + "".join(["1" if x else "0" for x in reversed(values)]), 2)
 
 
 class _Engine:
@@ -284,28 +192,27 @@ class _Engine:
         # shortcut[n]: node n holds on a team iff it holds on every member
         self.shortcut = [p and fl for p, fl in zip(self.nodes.pure, self.nodes.flat)]
         self.memo: list[dict[int, bool]] = [{} for _ in range(len(self.nodes))]
-        self._holds: list[int | None] = [None] * len(self.nodes)
         self._members: dict[int, list[int]] = {}
         self._next: dict[int, int] = {}
         self._intern(team)
+        # holds[n]: the mask of the universe ids whose trace satisfies
+        # pure node n (None for the other nodes)
+        self.holds = [
+            None if v is None else _mask(v)
+            for v in node_values(self.nodes, self.succ, self.letter, self.nodes.pure)
+        ]
 
     def _intern(self, team) -> None:
         """Build the trace universe and the mask of the team itself."""
         index: dict = {}  # canonical suffix -> provisional id
-        suffixes = []
-        orbits = []  # (member, provisional ids of its suffixes, adds any)
+        orbits = []  # (member's prefix length, provisional ids of its suffixes)
         for t in team:
-            ids = []
-            fresh = False
-            for k in range(len(t.prefix) + len(t.loop)):
-                s = suffix_encoding(t, k)
-                i = index.get(s)
-                if i is None:
-                    i = index[s] = len(suffixes)
-                    suffixes.append(s)
-                    fresh = True
-                ids.append(i)
-            orbits.append((t, ids, fresh))
+            ids = [
+                index.setdefault(suffix_encoding(t, k), len(index))
+                for k in range(len(t.prefix) + len(t.loop))
+            ]
+            orbits.append((len(t.prefix), ids))
+        suffixes = list(index)
         order = sorted(range(len(suffixes)), key=lambda i: serialize_trace(suffixes[i]))
         rank = [0] * len(order)
         for r, i in enumerate(order):
@@ -316,16 +223,11 @@ class _Engine:
         self.loop_len = [len(s.loop) for s in ordered]
         succ = [0] * len(order)
         self.team = 0
-        # members whose orbits together cover the universe, each with the
-        # ids of its suffixes and its trace_values memo
-        self.roots = []
-        for t, ids, fresh in orbits:
+        for start, ids in orbits:
             ids = [rank[i] for i in ids]
             for k, u in enumerate(ids):
-                succ[u] = ids[k + 1] if k + 1 < len(ids) else ids[len(t.prefix)]
+                succ[u] = ids[k + 1] if k + 1 < len(ids) else ids[start]
             self.team |= 1 << ids[0]
-            if fresh:
-                self.roots.append((t, ids, {}))
         self.succ = succ
         self._succ_bit = [1 << v for v in succ]
 
@@ -354,26 +256,12 @@ class _Engine:
             self._next[mask] = got
         return got
 
-    def _fill_holds(self, n: int) -> int:
-        """Mask of the universe ids whose trace satisfies pure node n."""
-        got = 0
-        g = self.nodes.formula[n]
-        for t, ids, memo in self.roots:
-            for u, value in zip(ids, trace_values(t, g, memo)):
-                if value:
-                    got |= 1 << u
-        self._holds[n] = got
-        return got
-
     # evaluation ---------------------------------------------------------------
 
     def eval(self, mask: int, n: int) -> bool:
         nodes = self.nodes
         if self.shortcut[n] or (nodes.pure[n] and not mask & (mask - 1)):
-            holds = self._holds[n]
-            if holds is None:
-                holds = self._fill_holds(n)
-            return mask & holds == mask
+            return mask & self.holds[n] == mask
         memo = self.memo[n]
         got = memo.get(mask)
         if got is not None:

@@ -137,6 +137,12 @@ def test_sat_unsat(run):
     assert run("sat", "--semantics", "sync", "--formula", "p & !p") == (1, "UNSAT\n")
 
 
+def test_sat_takes_no_budget_flags(run):
+    # tsat has no caps, so sat offers no flag it would ignore
+    code, _ = run("sat", "--semantics", "sync", "--formula", "F p", "--max-lcm", "5")
+    assert code == 2
+
+
 def test_sat_long_inline_formula(run):
     # longer than a file name may be: still read as formula text
     formula = " & ".join(["alpha", "beta", "gamma"] * 20)

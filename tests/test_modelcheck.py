@@ -128,6 +128,18 @@ def test_team_trace_ignores_unreachable_worlds():
     assert team_trace(padded) == team_trace(BRANCH, extra_props=("q",))
 
 
+def test_traces_team_finite_long_chain():
+    # w0 -> w1 -> ... -> w1999 -> w1999: one path step per world, deeper
+    # than the interpreter's recursion limit
+    worlds = tuple(f"w{i}" for i in range(2000))
+    labels = {w: frozenset() for w in worlds}
+    labels["w1999"] = frozenset({"p"})
+    edges = {w: (succ,) for w, succ in zip(worlds, worlds[1:] + ("w1999",))}
+    (t,) = traces_team_finite(KripkeStructure(worlds, labels, edges, "w0"))
+    assert len(t.prefix) == 1999
+    assert t.loop == (frozenset({"p"}),)
+
+
 # ---------------------------------------------------------------------------
 # synchronous engine, materialized
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from teamltl.classical import check_trace, trace_values
 from teamltl.errors import BoundExceeded, DuplicateName, UnknownAtom, VectorSpaceExceeded
-from teamltl.formula import Split, parse_formula
+from teamltl.formula import Next, Release, Split, Until, parse_formula
 from teamltl.teamcheck import (
     AtomRegistry,
     GenAtomDef,
@@ -33,7 +33,16 @@ from teamltl.traces import (
     team_suffix,
 )
 
-from .util import formulas, letters, nonempty_teams, random_formula, random_team, teams, up_traces
+from .util import (
+    formulas,
+    letters,
+    nonempty_teams,
+    oracle_trace,
+    random_formula,
+    random_team,
+    teams,
+    up_traces,
+)
 
 E = frozenset()
 
@@ -319,7 +328,31 @@ def test_kernels_on_coprime_loops(team, f):
 def test_trace_values_match_suffix_checks(t, f):
     values = trace_values(t, f)
     assert len(values) == len(t.prefix) + len(t.loop)
-    assert values == [check_trace(suffix_encoding(t, i), f) for i in range(len(values))]
+    assert values == [oracle_trace(suffix_encoding(t, i), f) for i in range(len(values))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(coprime_loop_teams(), orbit_sharing_teams()),
+    formulas(max_leaves=5),
+)
+def test_pure_masks_match_oracle(team, f):
+    # the flat shortcut reads pure masks off a universe with several
+    # cycles and the tails leading into them
+    assert check_async_general(team, f) == all(oracle_trace(t, f) for t in team)
+
+
+@settings(max_examples=150, deadline=None)
+@given(up_traces(max_prefix=3, max_loop=12), st.data())
+def test_check_trace_fixpoints_wrap_long_loops(t, data):
+    # U/R nested under U/R, so a fixpoint's value at the loop start
+    # depends on positions further round the loop
+    leaf = formulas(max_leaves=1)
+    inner = st.tuples(st.sampled_from([Until, Release]), leaf, leaf).map(lambda x: x[0](x[1], x[2]))
+    operand = st.one_of(leaf, inner, inner.map(Next))
+    outer = st.tuples(st.sampled_from([Until, Release]), operand, operand)
+    f = data.draw(outer.map(lambda x: x[0](x[1], x[2])))
+    assert check_trace(t, f) == oracle_trace(t, f)
 
 
 # ---------------------------------------------------------------------------
