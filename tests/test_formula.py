@@ -220,7 +220,7 @@ def test_fragment_info_pure():
     assert info.pure_ltl
     assert info.splitjunction_free
     assert info.downward_closed_syntactic
-    assert not info.has_dep and not info.has_gen and not info.has_contradictory_neg
+    assert not info.has_dep and not info.has_gen
 
 
 def test_fragment_info_extensions():
@@ -230,7 +230,7 @@ def test_fragment_info_extensions():
     assert info.downward_closed_syntactic
 
     info = fragment_info(parse_formula("~p"))
-    assert info.has_contradictory_neg
+    assert not info.pure_ltl and not info.has_dep and not info.has_gen
     assert not info.downward_closed_syntactic
 
 

@@ -16,13 +16,12 @@ from teamltl.modelcheck import (
     team_trace,
     tmc_async,
     tmc_sync_splitfree,
-    tmc_sync_splitfree_onthefly,
 )
 from teamltl.classical import check_trace
-from teamltl.teamcheck import check_sync
+from teamltl.teamcheck import Limits, check_sync
 from teamltl.traces import UPTrace
 
-from .util import random_kripke, random_splitfree_formula
+from .util import random_kripke, random_splitfree_formula, sync_model_oracle
 
 P_CYCLE = parse_kripke(
     """
@@ -76,7 +75,20 @@ def test_subset_sequence_pinned():
     assert seq.characteristic == (0, 1)
 
 
-def test_subset_sequence_world_cap():
+def cycles(*lengths) -> KripkeStructure:
+    """An initial world r entering disjoint cycles of the given lengths;
+    the first world of each cycle carries p."""
+    rings = [[f"c{c}_{i}" for i in range(n)] for c, n in enumerate(lengths)]
+    labels = {"r": frozenset()}
+    edges = {"r": tuple(ring[0] for ring in rings)}
+    for ring in rings:
+        for i, w in enumerate(ring):
+            labels[w] = frozenset({"p"}) if i == 0 else frozenset()
+            edges[w] = (ring[(i + 1) % len(ring)],)
+    return KripkeStructure(tuple(labels), labels, edges, "r")
+
+
+def test_subset_sequence_length_cap():
     n = 21
     worlds = tuple(f"w{i}" for i in range(n))
     k = KripkeStructure(
@@ -85,9 +97,23 @@ def test_subset_sequence_world_cap():
         edges={worlds[i]: (worlds[(i + 1) % n],) for i in range(n)},
         init=worlds[0],
     )
+    assert subset_sequence(k).characteristic == (0, 21)
+    assert subset_sequence(k, max_lcm=21).characteristic == (0, 21)
+    assert tmc_sync_splitfree(k, parse("G !p"))
+    with pytest.raises(BoundExceeded, match="max_lcm = 20"):
+        subset_sequence(k, max_lcm=20)
     with pytest.raises(BoundExceeded):
-        subset_sequence(k)
-    assert subset_sequence(k, world_cap=21).characteristic == (0, 21)
+        tmc_sync_splitfree(k, parse("G !p"), limits=Limits(max_lcm=20))
+
+
+def test_sync_model_checking_long_period():
+    # the successor sets settle into a period of 2*3*5*7*11*13 = 30,030,
+    # with p common to all of them only once per period
+    k = cycles(2, 3, 5, 7, 11, 13)
+    assert subset_sequence(k).characteristic == (1, 30030)
+    assert tmc_sync_splitfree(k, parse("X G F p"))
+    assert not tmc_sync_splitfree(k, parse("F G !p"))
+    assert not tmc_sync_splitfree(k, parse("X X p"))
 
 
 def test_team_trace_pinned():
@@ -188,35 +214,18 @@ def test_tmc_sync_matches_enumerated_team():
     assert checked == 60
 
 
-# ---------------------------------------------------------------------------
-# synchronous engine, on the fly
-
-
-def test_onthefly_pinned_verdicts():
-    assert tmc_sync_splitfree_onthefly(P_CYCLE, parse("G p"))
-    assert not tmc_sync_splitfree_onthefly(BRANCH, parse("X p"))
-    assert tmc_sync_splitfree_onthefly(CHAIN, parse("X G q"))
-    assert not tmc_sync_splitfree_onthefly(CHAIN, parse("G q"))
-
-
-def test_onthefly_rejects_contradictory_negation():
-    with pytest.raises(UnsupportedFragment):
-        tmc_sync_splitfree_onthefly(BRANCH, parse("~X p"))
-
-
-def test_onthefly_rejects_splitjunction():
-    with pytest.raises(UnsupportedOpenProblem):
-        tmc_sync_splitfree_onthefly(P_CYCLE, parse("p | q"))
-
-
-def test_onthefly_matches_materialized():
+def test_materialized_matches_oracle():
+    # branching structures, many with infinite trace teams
     rng = random.Random(405)
+    neg_rng = random.Random(407)
     for _ in range(120):
         k = random_kripke(rng, max_worlds=6, branch_prob=0.4)
         f = random_splitfree_formula(rng, depth=3, pool=("p", "q"))
-        assert tmc_sync_splitfree_onthefly(k, f) == tmc_sync_splitfree(k, f), (
-            f"disagreement on {f!r} over\n{k}"
-        )
+        g = random_splitfree_formula(neg_rng, depth=3, pool=("p", "q"), allow_neg=True)
+        for h in (f, g):
+            assert tmc_sync_splitfree(k, h) == sync_model_oracle(k, h), (
+                f"disagreement on {h!r} over\n{k}"
+            )
 
 
 # ---------------------------------------------------------------------------

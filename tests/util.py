@@ -19,6 +19,8 @@ from teamltl.formula import (
     Release,
     Split,
     Until,
+    bar_transform,
+    props,
 )
 from teamltl.kripke import KripkeStructure
 from teamltl.reductions import QBFInstance
@@ -260,3 +262,23 @@ def oracle_trace(trace: UPTrace, f: Formula) -> bool:
                     return any(oracle_trace(at(j), lhs) for j in range(i))
             return True
     raise AssertionError(f"oracle cannot evaluate {f!r}")
+
+
+def sync_model_oracle(k: KripkeStructure, f: Formula) -> bool:
+    """Synchronous team satisfaction of a splitjunction-free f by all traces
+    of k, read off the lasso of successor sets S_0 = {init},
+    S_{i+1} = image(S_i): letter i holds p when every world of S_i carries
+    p and p_bar when none does, and f is checked there with !p as p_bar."""
+    pool = props(f)
+    current, seen_at, trace = frozenset({k.init}), {}, []
+    while current not in seen_at:
+        seen_at[current] = len(trace)
+        labels = [k.labels[w] for w in current]
+        trace.append(frozenset(
+            [p for p in pool if all(p in label for label in labels)]
+            + [p + "_bar" for p in pool if not any(p in label for label in labels)]
+        ))
+        current = frozenset(v for w in current for v in k.edges[w])
+    stem = seen_at[current]
+    lasso = UPTrace(tuple(trace[:stem]), tuple(trace[stem:]))
+    return oracle_trace(lasso, bar_transform(f))
