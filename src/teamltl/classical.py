@@ -2,8 +2,9 @@
 
 The automaton route goes through a tableau construction: states are
 obligation sets (sets of subformulas that must hold from the current
-position), edges discharge the non-temporal part against a letter and
-carry the rest one step forward.  Acceptance uses one counter per
+position); each way to discharge the non-temporal part is one edge,
+labelled by the propositions it requires true and false (not by letters),
+that carries the rest one step forward.  Acceptance uses one counter per
 eventuality (Until / Eventually subformula), advanced whenever the
 pending eventuality is fulfilled or dropped, in the usual chained
 degeneralisation.
@@ -12,7 +13,6 @@ degeneralisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import MalformedStructure, UnsupportedFragment
 from .formula import (
@@ -259,13 +259,13 @@ def check_trace(trace: UPTrace, f: Formula) -> bool:
 
 @dataclass
 class NBA:
-    """Explicit-letter Buechi automaton over subsets of `props`.
+    """Buechi automaton whose edges carry literal constraints.
 
     `states` and `initial` are kept in deterministic construction order;
-    `transitions` maps a state to its ordered (letter, successor) edges.
+    `transitions` maps a state to its ordered ((pos, neg), successor)
+    edges: a letter matches when it contains pos and avoids neg.
     """
 
-    props: tuple[str, ...]
     states: tuple
     initial: tuple
     accepting: frozenset
@@ -356,24 +356,12 @@ def _covers(obligations, order):
     return results
 
 
-def _letters_matching(universe, pos, neg):
-    """All letters over `universe` that contain pos and avoid neg, in order."""
-    free = [p for p in universe if p not in pos and p not in neg]
-    base = frozenset(pos)
-    out = []
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            out.append(base | frozenset(extra))
-    return out
-
-
 def ltl_to_nba(f: Formula) -> NBA:
     """Build an NBA whose language is exactly the set of traces of f.
 
     f must be plain temporal syntax (no ~, dep or generalised atoms).
-    The alphabet is the powerset of the propositions of f.
+    Each tableau cover of a state gives one edge, labelled (pos, neg).
     """
-    info_props = tuple(sorted(props(f)))
     order = _subformula_order(f)
     eventualities = tuple(
         g for g in sorted(order, key=order.get) if isinstance(g, (Until, Eventually))
@@ -406,8 +394,7 @@ def ltl_to_nba(f: Formula) -> NBA:
             while advanced < k and eventualities[advanced] in good:
                 advanced += 1
             target = (nxt, advanced)
-            for letter in _letters_matching(info_props, pos, neg):
-                edges.append((letter, target))
+            edges.append(((pos, neg), target))
             if target not in state_set:
                 state_set.add(target)
                 states.append(target)
@@ -416,7 +403,6 @@ def ltl_to_nba(f: Formula) -> NBA:
 
     accepting = frozenset(s for s in states if s[1] == k)
     return NBA(
-        props=info_props,
         states=tuple(states),
         initial=(start,),
         accepting=accepting,
@@ -432,14 +418,12 @@ def nba_accepts(nba: NBA, trace: UPTrace) -> bool:
     unwinding passes through an accepting state.  The word is accepted
     iff some reachable cycle of that graph uses a flagged edge.
     """
-    relevant = frozenset(nba.props)
 
     def matching(state, letter):
-        restricted = frozenset(letter) & relevant
         return [
             succ
-            for (edge_letter, succ) in nba.transitions.get(state, ())
-            if edge_letter == restricted
+            for ((pos, neg), succ) in nba.transitions.get(state, ())
+            if pos <= letter and neg.isdisjoint(letter)
         ]
 
     current = set(nba.initial)
@@ -563,7 +547,8 @@ def nba_nonempty(nba: NBA) -> LassoWitness | None:
     found = _emptiness_search(nba.initial, nba.transitions, nba.accepting)
     if found is None:
         return None
-    stem, cycle = found
+    # letter pos matches label (pos, neg): no cover puts a name in both
+    stem, cycle = (tuple(pos for pos, _ in labels) for labels in found)
     return LassoWitness(stem=stem, cycle=cycle)
 
 
@@ -664,7 +649,6 @@ def classical_mc(k: KripkeStructure, f: Formula) -> tuple[bool, LassoWitness | N
     """
     validate_kripke(k)
     nba = ltl_to_nba(dualize(f))
-    relevant = frozenset(nba.props)
 
     adjacency: dict = {}
     initial = tuple((k.init, q) for q in nba.initial)
@@ -674,10 +658,9 @@ def classical_mc(k: KripkeStructure, f: Formula) -> tuple[bool, LassoWitness | N
         node = queue.pop(0)
         world, q = node
         letter = k.labels[world]
-        restricted = letter & relevant
         edges = []
-        for (edge_letter, succ_q) in nba.transitions.get(q, ()):
-            if edge_letter == restricted:
+        for ((pos, neg), succ_q) in nba.transitions.get(q, ()):
+            if pos <= letter and neg.isdisjoint(letter):
                 for succ_w in k.edges[world]:
                     target = (succ_w, succ_q)
                     edges.append((letter, target))

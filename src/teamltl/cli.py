@@ -104,10 +104,14 @@ def cmd_check_path(args: argparse.Namespace) -> int:
 
 
 def cmd_check_model(args: argparse.Namespace) -> int:
+    if args.semantics == "async" and args.max_lcm is not None:
+        print("ERROR --max-lcm caps only synchronous checking")
+        return 2
     f = parse_formula(_read_inline_or_file(args.formula))
     k = parse_kripke(_read_file(args.kripke))
     if args.semantics == "sync":
-        ok = tmc_sync_splitfree(k, f, limits=Limits(max_lcm=args.max_lcm))
+        max_lcm = DEFAULT_LIMITS.max_lcm if args.max_lcm is None else args.max_lcm
+        ok = tmc_sync_splitfree(k, f, limits=Limits(max_lcm=max_lcm))
     else:
         ok, _ = tmc_async(k, f)
     return _verdict(ok)
@@ -227,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-lcm",
         type=_positive_int,
-        default=DEFAULT_LIMITS.max_lcm,
         help="synchronous checking only: cap on the length of the successor-set "
         "sequence (exit 4 beyond)",
     )

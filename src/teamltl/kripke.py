@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedStructure, ParseError
+from .errors import BoundExceeded, MalformedStructure, ParseError
 from .traces import PropSet, Team, UPTrace
+
+MAX_FINITE_TRACES = 2**16
 
 
 @dataclass
@@ -149,7 +151,8 @@ def traces_team_finite(k: KripkeStructure) -> Team | None:
 
     The team is finite when no reachable world that lies on a cycle has two
     or more successors: every run then branches only inside an acyclic
-    region and closes deterministically into a lasso.
+    region and closes deterministically into a lasso.  Raises
+    BoundExceeded once the team holds more than MAX_FINITE_TRACES traces.
     """
     validate_kripke(k)
     reachable = set(_reachable(k))
@@ -174,6 +177,11 @@ def traces_team_finite(k: KripkeStructure) -> Team | None:
             stem = [k.labels[w] for w in path[:at]]
             cycle = [k.labels[w] for w in path[at:]]
             traces.append(UPTrace(tuple(stem), tuple(cycle)))
+            if len(traces) > MAX_FINITE_TRACES:
+                raise BoundExceeded(
+                    f"trace team holds more than MAX_FINITE_TRACES = "
+                    f"{MAX_FINITE_TRACES} traces"
+                )
         else:
             seen_at[succ] = len(path)
             path.append(succ)

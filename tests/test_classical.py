@@ -1,11 +1,16 @@
 """Single-trace LTL: trace checking, automata, satisfiability, model checking."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teamltl
 from teamltl.classical import (
     check_trace,
     classical_mc,
@@ -109,14 +114,71 @@ def test_nba_rejects_extensions():
         ltl_to_nba(parse_formula("dep(p;q)"))
 
 
+def test_nba_edges_are_literal_constraints():
+    nba = ltl_to_nba(parse_formula("p & q & r"))
+    edges = [e for state in nba.states for e in nba.transitions[state]]
+    # one edge per cover, not one per letter over the free propositions
+    assert edges == [
+        ((frozenset("pqr"), E), (E, 0)),
+        ((E, E), (E, 0)),
+    ]
+
+
 def test_nba_agrees_with_check_trace_bulk():
     rng = random.Random(7)
     for _ in range(60):
         f = random_formula(rng, depth=3, pool=("p", "q"))
         nba = ltl_to_nba(f)
         for _ in range(5):
-            t = random_trace(rng, pool=("p", "q"), max_prefix=2, max_loop=3)
+            # r is never named by f: edges leave it free
+            t = random_trace(rng, pool=("p", "q", "r"), max_prefix=2, max_loop=3)
             assert nba_accepts(nba, t) == check_trace(t, f), (f, t)
+
+
+# prints each formula's automaton (states in construction order, edges in
+# order, obligation sets sorted by rendering) and its tsat witness
+_CANONICAL_NBA = """
+import sys
+from teamltl.classical import ltl_to_nba, tsat
+from teamltl.formula import parse_formula, render_formula
+from teamltl.traces import serialize_trace
+
+def state(s):
+    return sorted(map(render_formula, s[0])), s[1]
+
+for text in sys.argv[1:]:
+    f = parse_formula(text)
+    nba = ltl_to_nba(f)
+    print([state(s) for s in nba.states])
+    for s in nba.states:
+        print([(sorted(pos), sorted(neg), state(t)) for (pos, neg), t in nba.transitions[s]])
+    print(serialize_trace(tsat(f, "sync")))
+"""
+
+
+def test_nba_and_tsat_independent_of_hash_seed():
+    # formulas in the style of Etessami and Holzmann's benchmark set
+    texts = [
+        "p U (q & G r)",
+        "G (!p | F q)",
+        "(G F p) | (F G q)",
+        "G (!p | X (q R r))",
+        "F G p & G F q & G (!q | X !r)",
+        "(p U q) U r",
+    ]
+    outs = []
+    for seed in ("0", "1"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": str(Path(teamltl.__file__).parents[1]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _CANONICAL_NBA, *texts],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

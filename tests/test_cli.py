@@ -143,6 +143,14 @@ def test_check_model_rejects_removed_and_bad_flags(run, kripke_file, extra):
     assert code == 2
 
 
+def test_check_model_async_rejects_max_lcm(run, kripke_file):
+    # tmc_async takes no limits, so the flag would be ignored
+    assert run(
+        "check-model", "--semantics", "async", "--formula", "F p",
+        "--kripke", kripke_file, "--max-lcm", "1",
+    ) == (2, "ERROR --max-lcm caps only synchronous checking\n")
+
+
 def test_check_model_open_problem(run, kripke_file):
     code, out = run("check-model", "--semantics", "sync", "--formula", "F p | F p", "--kripke", kripke_file)
     assert code == 3 and out.startswith("UNSUPPORTED")
@@ -182,12 +190,14 @@ def test_sat_takes_no_budget_flags(run):
 
 
 def test_sat_long_inline_formula(run):
-    # longer than a file name may be: still read as formula text
-    formula = " & ".join(["alpha", "beta", "gamma"] * 20)
+    # longer than a file name may be: still read as formula text; its 60
+    # distinct propositions must not blow up the automaton
+    names = [f"p{i}" for i in range(60)]
+    formula = " & ".join(names)
     assert len(formula) > 255
     assert run("sat", "--semantics", "sync", "--formula", formula) == (
         0,
-        "SAT\n{alpha,beta,gamma} ; {}\n",
+        "SAT\n{" + ",".join(sorted(names)) + "} ; {}\n",
     )
 
 

@@ -166,6 +166,24 @@ def test_traces_team_finite_long_chain():
     assert t.loop == (frozenset({"p"}),)
 
 
+def _diamond_ladder(rungs: int) -> KripkeStructure:
+    # r -> both worlds of rung 0 -> both of rung 1 -> ... -> sink: 2^rungs
+    # acyclic paths, so as many traces
+    rows = [(f"a{i}", f"b{i}") for i in range(rungs)] + [("z",)]
+    worlds = ("r",) + tuple(w for row in rows for w in row)
+    labels = {w: frozenset({"p"} if w.startswith("a") else ()) for w in worlds}
+    edges = {"r": rows[0], "z": ("z",)}
+    for row, succ in zip(rows, rows[1:]):
+        edges.update({w: succ for w in row})
+    return KripkeStructure(worlds, labels, edges, "r")
+
+
+def test_traces_team_finite_trace_cap():
+    assert len(traces_team_finite(_diamond_ladder(16))) == 2**16
+    with pytest.raises(BoundExceeded, match="MAX_FINITE_TRACES = 65536"):
+        traces_team_finite(_diamond_ladder(17))
+
+
 # ---------------------------------------------------------------------------
 # synchronous engine, materialized
 
