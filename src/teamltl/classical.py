@@ -7,14 +7,17 @@ labelled by the propositions it requires true and false (not by letters),
 that carries the rest one step forward.  Acceptance uses one counter per
 eventuality (Until / Eventually subformula), advanced whenever the
 pending eventuality is fulfilled or dropped, in the usual chained
-degeneralisation.
+degeneralisation.  The tableau works on the formula's hash-consed node
+ids: an obligation set is an int bitmask over the nodes ranked in
+preorder, and only the finished automaton names its states by
+frozensets of subformulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedStructure, UnsupportedFragment
+from .errors import UnsupportedFragment
 from .formula import (
     And,
     ContradictoryNeg,
@@ -283,77 +286,65 @@ class LassoWitness:
         return UPTrace(self.stem, self.cycle)
 
 
-def _subformula_order(f: Formula) -> dict[Formula, int]:
-    """Deterministic index for every subformula (used to fix set orders)."""
-    order: dict[Formula, int] = {}
-
-    def walk(g: Formula):
-        if g in order:
-            return
-        order[g] = len(order)
-        match g:
-            case And(lhs=a, rhs=b) | Split(lhs=a, rhs=b) | Until(lhs=a, rhs=b) | Release(lhs=a, rhs=b):
-                walk(a)
-                walk(b)
-            case Next(sub=s) | Eventually(sub=s) | Globally(sub=s) | ContradictoryNeg(sub=s):
-                walk(s)
-
-    walk(f)
-    return order
-
-
-def _covers(obligations, order):
+def _covers(nodes, at_rank, bit, lit, obligations):
     """All ways to satisfy all obligations at the current position.
 
-    Each cover is (pos, neg, next_obligations, fulfilled): propositions
-    required true / false now, obligations deferred to the next position,
-    and the eventualities fulfilled right here.  Locally contradictory
-    branches are pruned.
+    `obligations` is a mask over node ranks: node n has bit bit[n], and
+    at_rank[r] is the node of rank r.  Each cover is (pos, neg,
+    next_obligations, fulfilled): masks of the propositions required true
+    / false now (literal n names proposition bit lit[n]), of the
+    obligations deferred to the next position, and of the eventualities
+    fulfilled right here.  Obligations are expanded lowest rank first,
+    each expansion ahead of the rest; locally contradictory branches are
+    pruned.
     """
-    results = []
-    seen = set()
+    kind, lhs, rhs = nodes.kind, nodes.lhs, nodes.rhs
+    results: dict = {}  # an ordered set of covers
 
     def go(pending, pos, neg, nxt, fulfilled):
-        if not pending:
-            key = (frozenset(pos), frozenset(neg), frozenset(nxt), frozenset(fulfilled))
-            if key not in seen:
-                seen.add(key)
-                results.append(key)
-            return
-        g = pending[0]
-        rest = pending[1:]
-        match g:
-            case PositiveLiteral(name=name):
-                if name not in neg:
-                    go(rest, pos | {name}, neg, nxt, fulfilled)
-            case NegativeLiteral(name=name):
-                if name not in pos:
-                    go(rest, pos, neg | {name}, nxt, fulfilled)
-            case And(lhs=a, rhs=b):
-                go([a, b] + rest, pos, neg, nxt, fulfilled)
-            case Split(lhs=a, rhs=b):
-                go([a] + rest, pos, neg, nxt, fulfilled)
-                go([b] + rest, pos, neg, nxt, fulfilled)
-            case Next(sub=s):
-                go(rest, pos, neg, nxt | {s}, fulfilled)
-            case Eventually(sub=s):
-                go([s] + rest, pos, neg, nxt, fulfilled | {g})
-                go(rest, pos, neg, nxt | {g}, fulfilled)
-            case Globally(sub=s):
-                go([s] + rest, pos, neg, nxt | {g}, fulfilled)
-            case Until(lhs=a, rhs=b):
-                go([b] + rest, pos, neg, nxt, fulfilled | {g})
-                go([a] + rest, pos, neg, nxt | {g}, fulfilled)
-            case Release(lhs=a, rhs=b):
-                go([b, a] + rest, pos, neg, nxt, fulfilled)
-                go([b] + rest, pos, neg, nxt | {g}, fulfilled)
-            case _:
+        while pending is not None:  # a linked list (node, rest)
+            g, pending = pending
+            k = kind[g]
+            if k == _POS:
+                if lit[g] & neg:
+                    return
+                pos |= lit[g]
+            elif k == _NEG:
+                if lit[g] & pos:
+                    return
+                neg |= lit[g]
+            elif k == _AND:
+                pending = (lhs[g], (rhs[g], pending))
+            elif k == _SPLIT:
+                go((lhs[g], pending), pos, neg, nxt, fulfilled)
+                pending = (rhs[g], pending)
+            elif k == _NEXT:
+                nxt |= bit[rhs[g]]
+            elif k in (_F, _U):  # F b reads as true U b
+                go((rhs[g], pending), pos, neg, nxt, fulfilled | bit[g])
+                if k == _U:
+                    pending = (lhs[g], pending)
+                nxt |= bit[g]
+            elif k == _G:
+                pending = (rhs[g], pending)
+                nxt |= bit[g]
+            elif k == _R:
+                go((rhs[g], (lhs[g], pending)), pos, neg, nxt, fulfilled)
+                pending = (rhs[g], pending)
+                nxt |= bit[g]
+            else:
                 raise UnsupportedFragment(
-                    f"automaton construction needs plain temporal syntax, got {g!r}"
+                    "automaton construction needs plain temporal syntax, "
+                    f"got {nodes.formula[g]!r}"
                 )
+        results[pos, neg, nxt, fulfilled] = None
 
-    go(sorted(obligations, key=order.get), set(), set(), set(), set())
-    return results
+    pending = None
+    for r in reversed(range(obligations.bit_length())):
+        if obligations >> r & 1:
+            pending = (at_rank[r], pending)
+    go(pending, 0, 0, 0, 0)
+    return list(results)
 
 
 def ltl_to_nba(f: Formula) -> NBA:
@@ -361,52 +352,68 @@ def ltl_to_nba(f: Formula) -> NBA:
 
     f must be plain temporal syntax (no ~, dep or generalised atoms).
     Each tableau cover of a state gives one edge, labelled (pos, neg).
+    The tableau runs on f's hash-consed nodes, ranked in preorder, over
+    states (obligation mask, counter); the automaton's states (frozenset
+    of subformulas, counter) are built once, at the end.
     """
-    order = _subformula_order(f)
-    eventualities = tuple(
-        g for g in sorted(order, key=order.get) if isinstance(g, (Until, Eventually))
-    )
-    k = len(eventualities)
+    nodes = _Nodes(f)
+    at_rank: list[int] = []
+    bit = [0] * len(nodes)
+    stack = [nodes.root]
+    while stack:
+        n = stack.pop()
+        if not bit[n]:
+            bit[n] = 1 << len(at_rank)
+            at_rank.append(n)
+            stack += [m for m in (nodes.rhs[n], nodes.lhs[n]) if m is not None]
+    prop: dict[str, int] = {}
+    lit = [
+        1 << prop.setdefault(g.name, len(prop)) if kind in (_POS, _NEG) else 0
+        for g, kind in zip(nodes.formula, nodes.kind)
+    ]
+    names, formulas = list(prop), [nodes.formula[n] for n in at_rank]
+    ev_bits = [bit[n] for n in at_rank if nodes.kind[n] in (_F, _U)]
+    ev_mask, k = sum(ev_bits), len(ev_bits)
+
+    def named(mask, universe):
+        return frozenset(universe[r] for r in range(mask.bit_length()) if mask >> r & 1)
 
     cover_cache: dict = {}
-
-    def covers_of(obligations):
-        got = cover_cache.get(obligations)
-        if got is None:
-            got = _covers(obligations, order)
-            cover_cache[obligations] = got
-        return got
-
-    start = (frozenset({f}), 0)
-    states = [start]
-    state_set = {start}
-    transitions: dict = {}
-    queue = [start]
-    while queue:
-        state = queue.pop(0)
-        obligations, counter = state
+    labels: dict = {}  # (pos, neg) masks -> edge label
+    states = [(bit[nodes.root], 0)]
+    index = {states[0]: 0}
+    edges_of = []
+    for obligations, counter in states:  # visits the states appended below too
+        covers = cover_cache.get(obligations)
+        if covers is None:
+            covers = cover_cache[obligations] = []
+            for pos, neg, nxt, fulfilled in _covers(nodes, at_rank, bit, lit, obligations):
+                if (pos, neg) not in labels:
+                    labels[pos, neg] = (named(pos, names), named(neg, names))
+                # eventualities fulfilled here or no longer pending
+                covers.append((labels[pos, neg], nxt, (fulfilled | ~nxt) & ev_mask))
+        start = 0 if counter == k else counter
         edges = []
-        for pos, neg, nxt, fulfilled in covers_of(obligations):
-            good = {
-                e for e in eventualities if e in fulfilled or e not in nxt
-            }
-            advanced = 0 if counter == k else counter
-            while advanced < k and eventualities[advanced] in good:
+        for label, nxt, good in covers:
+            advanced = start
+            while advanced < k and good & ev_bits[advanced]:
                 advanced += 1
-            target = (nxt, advanced)
-            edges.append(((pos, neg), target))
-            if target not in state_set:
-                state_set.add(target)
-                states.append(target)
-                queue.append(target)
-        transitions[state] = tuple(edges)
+            j = index.setdefault((nxt, advanced), len(states))
+            if j == len(states):
+                states.append((nxt, advanced))
+            edges.append((label, j))
+        edges_of.append(edges)
 
-    accepting = frozenset(s for s in states if s[1] == k)
+    sets = {mask: named(mask, formulas) for mask in {mask for mask, _ in index}}
+    public = [(sets[mask], counter) for mask, counter in states]
     return NBA(
-        states=tuple(states),
-        initial=(start,),
-        accepting=accepting,
-        transitions=transitions,
+        states=tuple(public),
+        initial=(public[0],),
+        accepting=frozenset(s for s in public if s[1] == k),
+        transitions={
+            s: tuple((label, public[j]) for label, j in edges)
+            for s, edges in zip(public, edges_of)
+        },
     )
 
 
@@ -613,29 +620,18 @@ def tsat(f: Formula, semantics: str, atoms=None) -> UPTrace | None:
                 raise UnsupportedFragment(
                     "satisfiability with contradictory negation is not supported"
                 )
-            case And(lhs=a, rhs=b):
-                return And(rewrite(a), rewrite(b))
-            case Split(lhs=a, rhs=b):
-                return Split(rewrite(a), rewrite(b))
-            case Next(sub=s):
-                return Next(rewrite(s))
-            case Eventually(sub=s):
-                return Eventually(rewrite(s))
-            case Globally(sub=s):
-                return Globally(rewrite(s))
-            case Until(lhs=a, rhs=b):
-                return Until(rewrite(a), rewrite(b))
-            case Release(lhs=a, rhs=b):
-                return Release(rewrite(a), rewrite(b))
+            case And() | Split() | Until() | Release():
+                return type(g)(rewrite(g.lhs), rewrite(g.rhs))
+            case Next() | Eventually() | Globally():
+                return type(g)(rewrite(g.sub))
         raise UnsupportedFragment(f"cannot rewrite {render_formula(g)}")
 
     witness = classical_sat(rewrite(f))
     if witness is None:
         return None
-    keep = props(f)
     return UPTrace(
-        tuple(frozenset(letter) & keep for letter in witness.prefix),
-        tuple(frozenset(letter) & keep for letter in witness.loop),
+        tuple(frozenset(letter) & taken for letter in witness.prefix),
+        tuple(frozenset(letter) & taken for letter in witness.loop),
     )
 
 
@@ -652,10 +648,9 @@ def classical_mc(k: KripkeStructure, f: Formula) -> tuple[bool, LassoWitness | N
 
     adjacency: dict = {}
     initial = tuple((k.init, q) for q in nba.initial)
-    queue = list(initial)
+    order = list(initial)
     seen = set(initial)
-    while queue:
-        node = queue.pop(0)
+    for node in order:  # visits the nodes appended below too
         world, q = node
         letter = k.labels[world]
         edges = []
@@ -666,7 +661,7 @@ def classical_mc(k: KripkeStructure, f: Formula) -> tuple[bool, LassoWitness | N
                     edges.append((letter, target))
                     if target not in seen:
                         seen.add(target)
-                        queue.append(target)
+                        order.append(target)
         adjacency[node] = tuple(edges)
 
     accepting = {(w, q) for (w, q) in seen if q in nba.accepting}

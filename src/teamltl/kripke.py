@@ -112,37 +112,40 @@ def serialize_kripke(k: KripkeStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reachable(k: KripkeStructure) -> list[str]:
-    seen = {k.init}
-    order = [k.init]
-    queue = [k.init]
-    while queue:
-        world = queue.pop(0)
-        for succ in k.edges[world]:
-            if succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-                queue.append(succ)
-    return order
+def _worlds_on_cycles(k: KripkeStructure) -> set[str]:
+    """The worlds reachable from k.init that lie on a cycle.
 
-
-def _worlds_on_cycles(k: KripkeStructure, reachable: set[str]) -> set[str]:
-    on_cycle = set()
-    for start in sorted(reachable):
-        # start lies on a cycle iff it can reach itself in >= 1 step
-        frontier = set(k.edges[start]) & reachable
-        seen = set(frontier)
-        while frontier:
-            if start in frontier:
-                on_cycle.add(start)
-                break
-            nxt = set()
-            for world in frontier:
-                for succ in k.edges[world]:
-                    if succ in reachable and succ not in seen:
-                        seen.add(succ)
-                        nxt.add(succ)
-            frontier = nxt
+    One iterative pass of Tarjan's strongly connected components: a world
+    lies on a cycle iff its component has two or more worlds or the world
+    has an edge to itself.
+    """
+    index: dict[str, int] = {k.init: 0}
+    low = dict(index)
+    stack, on_stack = [k.init], {k.init}
+    on_cycle: set[str] = set()
+    walk = [(k.init, iter(k.edges[k.init]))]
+    while walk:
+        world, succs = walk[-1]
+        succ = next(succs, None)
+        if succ is None:
+            walk.pop()
+            if walk:
+                parent = walk[-1][0]
+                low[parent] = min(low[parent], low[world])
+            if low[world] == index[world]:
+                component = [stack.pop()]
+                while component[-1] != world:
+                    component.append(stack.pop())
+                on_stack.difference_update(component)
+                if len(component) > 1 or world in k.edges[world]:
+                    on_cycle.update(component)
+        elif succ not in index:
+            index[succ] = low[succ] = len(index)
+            stack.append(succ)
+            on_stack.add(succ)
+            walk.append((succ, iter(k.edges[succ])))
+        elif succ in on_stack:
+            low[world] = min(low[world], index[succ])
     return on_cycle
 
 
@@ -155,11 +158,8 @@ def traces_team_finite(k: KripkeStructure) -> Team | None:
     BoundExceeded once the team holds more than MAX_FINITE_TRACES traces.
     """
     validate_kripke(k)
-    reachable = set(_reachable(k))
-    on_cycle = _worlds_on_cycles(k, reachable)
-    for world in reachable:
-        if world in on_cycle and len(k.edges[world]) >= 2:
-            return None
+    if any(len(k.edges[world]) >= 2 for world in _worlds_on_cycles(k)):
+        return None
 
     # depth-first over simple paths from init, each successor list in
     # order; an edge back into the path closes one lasso

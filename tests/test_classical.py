@@ -112,6 +112,28 @@ def test_nba_rejects_extensions():
         ltl_to_nba(parse_formula("~p"))
     with pytest.raises(UnsupportedFragment):
         ltl_to_nba(parse_formula("dep(p;q)"))
+    # nested below temporal operators, where the tableau meets them only
+    # when it expands a cover
+    for text in ["G (p | ~q)", "F dep(p; q)", "p U @c(p)"]:
+        with pytest.raises(UnsupportedFragment):
+            ltl_to_nba(parse_formula(text))
+
+
+def _nba_size(text):
+    nba = ltl_to_nba(parse_formula(text))
+    edges = sum(len(e) for e in nba.transitions.values())
+    return len(nba.states), edges, len(nba.accepting)
+
+
+def test_nba_sizes_pinned():
+    # the tableau keeps every cover, dominated ones included: G F p0 & ...
+    # grows about 2.5x per proposition
+    sizes = [(4, 10, 2), (9, 59, 4), (21, 358, 8), (49, 2141, 16), (113, 12532, 32)]
+    for n, size in enumerate(sizes, start=1):
+        assert _nba_size(" & ".join(f"G F p{i}" for i in range(n))) == size, n
+    assert _nba_size("p U (q & G r)") == (2, 3, 1)
+    assert _nba_size("(p U q) U r") == (4, 11, 1)
+    assert _nba_size("F G p & G F q & G (!q | X !r)") == (8, 43, 2)
 
 
 def test_nba_edges_are_literal_constraints():
@@ -165,6 +187,7 @@ def test_nba_and_tsat_independent_of_hash_seed():
         "G (!p | X (q R r))",
         "F G p & G F q & G (!q | X !r)",
         "(p U q) U r",
+        "G F p & G F q & G F r & F s",
     ]
     outs = []
     for seed in ("0", "1"):

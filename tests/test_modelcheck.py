@@ -10,7 +10,12 @@ from teamltl.errors import (
     UnsupportedOpenProblem,
 )
 from teamltl.formula import parse_formula as parse, props
-from teamltl.kripke import KripkeStructure, parse_kripke, traces_team_finite
+from teamltl.kripke import (
+    KripkeStructure,
+    _worlds_on_cycles,
+    parse_kripke,
+    traces_team_finite,
+)
 from teamltl.modelcheck import (
     subset_sequence,
     team_trace,
@@ -164,6 +169,24 @@ def test_traces_team_finite_long_chain():
     (t,) = traces_team_finite(KripkeStructure(worlds, labels, edges, "w0"))
     assert len(t.prefix) == 1999
     assert t.loop == (frozenset({"p"}),)
+
+
+def test_worlds_on_cycles_matches_self_reachability():
+    def reach(k, starts):
+        seen, stack = set(starts), list(starts)
+        while stack:
+            for succ in k.edges[stack.pop()]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return seen
+
+    rng = random.Random(11)
+    for _ in range(300):
+        k = random_kripke(rng, max_worlds=8, branch_prob=0.4)
+        # w lies on a cycle iff it reaches itself in one step or more
+        expected = {w for w in reach(k, [k.init]) if w in reach(k, k.edges[w])}
+        assert _worlds_on_cycles(k) == expected, k
 
 
 def _diamond_ladder(rungs: int) -> KripkeStructure:
