@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedFragment,
 )
 from .hyper import (
+    HYPER_PREFIX_CAP,
     check_hyper,
     forall_hyper_to_ltl,
     ltl_to_forall_hyper,
@@ -46,7 +47,6 @@ from .teamcheck import (
     DEFAULT_LIMITS,
     Limits,
     check_async,
-    check_async_general,
     check_sync,
 )
 from .traces import parse_team, serialize_team, serialize_trace
@@ -75,12 +75,6 @@ def _read_file(value: str) -> str:
     return Path(value).read_text()
 
 
-def _limits(args: argparse.Namespace) -> Limits:
-    return Limits(
-        max_lcm=args.max_lcm, max_split_team=args.max_team, max_grid=args.max_grid
-    )
-
-
 def _verdict(ok: bool) -> int:
     print("HOLDS" if ok else "FAILS")
     return 0 if ok else 1
@@ -91,15 +85,20 @@ def _verdict(ok: bool) -> int:
 
 
 def cmd_check_path(args: argparse.Namespace) -> int:
+    if args.semantics == "async" and args.max_lcm is not None:
+        print("ERROR --max-lcm caps only synchronous checking")
+        return 2
+    if args.semantics == "sync" and args.max_grid is not None:
+        print("ERROR --max-grid caps only asynchronous checking")
+        return 2
     f = parse_formula(_read_inline_or_file(args.formula))
     team = parse_team(_read_file(args.team))
-    limits = _limits(args)
     if args.semantics == "sync":
-        ok = check_sync(team, f, limits=limits)
-    elif args.async_engine == "general":
-        ok = check_async_general(team, f, limits=limits)
+        max_lcm = DEFAULT_LIMITS.max_lcm if args.max_lcm is None else args.max_lcm
+        ok = check_sync(team, f, limits=Limits(max_lcm=max_lcm, max_split_team=args.max_team))
     else:
-        ok = check_async(team, f, limits=limits)
+        max_grid = DEFAULT_LIMITS.max_grid if args.max_grid is None else args.max_grid
+        ok = check_async(team, f, limits=Limits(max_split_team=args.max_team, max_grid=max_grid))
     return _verdict(ok)
 
 
@@ -180,27 +179,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--max-lcm",
-        type=_positive_int,
-        default=DEFAULT_LIMITS.max_lcm,
-        help="cap on the lcm of loop lengths (exit 4 beyond)",
-    )
-    p.add_argument(
-        "--max-team",
-        type=_positive_int,
-        default=DEFAULT_LIMITS.max_split_team,
-        help="cap on the team size enumerable by covering splits",
-    )
-    p.add_argument(
-        "--max-grid",
-        type=_positive_int,
-        default=DEFAULT_LIMITS.max_grid,
-        help="cap on the asynchronous shift-vector space",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teamltl",
@@ -213,13 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True, metavar="FORMULA", help="file or inline")
     p.add_argument("--team", required=True, metavar="FILE")
     p.add_argument(
-        "--async-engine",
-        choices=("flat", "general"),
-        default="flat",
-        help="flat uses the per-trace shortcut for pure LTL, general always "
-        "enumerates shift vectors",
+        "--max-lcm",
+        type=_positive_int,
+        help="synchronous checking only: cap on the lcm of loop lengths (exit 4 beyond)",
     )
-    _add_budget_flags(p)
+    p.add_argument(
+        "--max-team",
+        type=_positive_int,
+        default=DEFAULT_LIMITS.max_split_team,
+        help="cap on the team size enumerable by covering splits",
+    )
+    p.add_argument(
+        "--max-grid",
+        type=_positive_int,
+        help="asynchronous checking only: cap on the shift-vector space",
+    )
     p.set_defaults(func=cmd_check_path)
 
     p = sub.add_parser(
@@ -260,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--max-prefix",
         type=_positive_int,
-        default=4,
+        default=HYPER_PREFIX_CAP,
         help="cap on the quantifier prefix length (exit 4 beyond)",
     )
     pc.set_defaults(func=cmd_hyper)

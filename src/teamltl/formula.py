@@ -2,15 +2,14 @@
 
 Grammar (whitespace-insensitive, `#`-free; see parse_formula):
 
-    formula  := split
-    split    := conj ("|" conj)*            left associative
+    formula  := disj
+    disj     := conj ("|" conj)*            left associative (splitjunction)
     conj     := untilrel ("&" untilrel)*    left associative
     untilrel := unary (("U" | "R") unary)*  right associative, one operator kind per chain
-    unary    := ("X" | "F" | "G" | "~") unary | "!" IDENT | atom
+    unary    := ("X" | "F" | "G" | "~") unary | "!" IDENT | "(" disj ")" | atom
     atom     := IDENT
               | "dep" "(" [identlist] ";" identlist ")"
               | "@" IDENT "(" [identlist] ")"
-              | "(" formula ")"
 
 `X F G U R` are reserved operator names.  `!` applies to a single proposition
 only; `~` is the contradictory negation and applies to any subformula.
@@ -20,6 +19,10 @@ Operand order for the binary temporal operators: in `a U b` the right operand
 `a R b` the right operand `b` holds at every suffix unless some strictly
 earlier suffix satisfied `a`.  Example: `{p}{q}...` satisfies `p U q` and
 `(p & q) R p` fails on `{p}{}...` because nothing ever releases.
+
+The parser core `_Parser` and the table-driven renderer `_render` are
+shared with the trace-quantified sentences of `hyper`, which swap in
+their own node constructors, `!` rule and atom rule.
 """
 
 from __future__ import annotations
@@ -179,6 +182,16 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive-descent core shared by the formula and sentence grammars.
+
+    The `|` and `&` chains, the U/R chains and the prefix operators build
+    their nodes through the class-level constructors below, so a grammar
+    over other node types overrides only those and the rules that differ.
+    """
+
+    OR, AND, UNTIL, RELEASE = Split, And, Until, Release
+    UNARY = {"X": Next, "F": Eventually, "G": Globally, "TILDE": ContradictoryNeg}
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -203,28 +216,28 @@ class _Parser:
 
     # grammar rules -----------------------------------------------------
 
-    def formula(self) -> Formula:
-        f = self.split()
+    def formula(self):
+        f = self.disj()
         tok = self.peek()
         if tok[0] != "EOF":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
         return f
 
-    def split(self) -> Formula:
+    def disj(self):
         f = self.conj()
         while self.peek()[0] == "PIPE":
             self.advance()
-            f = Split(f, self.conj())
+            f = self.OR(f, self.conj())
         return f
 
-    def conj(self) -> Formula:
+    def conj(self):
         f = self.untilrel()
         while self.peek()[0] == "AMP":
             self.advance()
-            f = And(f, self.untilrel())
+            f = self.AND(f, self.untilrel())
         return f
 
-    def untilrel(self) -> Formula:
+    def untilrel(self):
         first = self.unary()
         chain = []
         op = None
@@ -239,42 +252,34 @@ class _Parser:
             chain.append(self.unary())
         if not chain:
             return first
-        node = Until if op == "U" else Release
+        node = self.UNTIL if op == "U" else self.RELEASE
         operands = [first] + chain
         f = operands[-1]
         for lhs in reversed(operands[:-1]):
             f = node(lhs, f)
         return f
 
-    def unary(self) -> Formula:
+    def unary(self):
         kind = self.peek()[0]
-        if kind == "X":
+        node = self.UNARY.get(kind)
+        if node is not None:
             self.advance()
-            return Next(self.unary())
-        if kind == "F":
-            self.advance()
-            return Eventually(self.unary())
-        if kind == "G":
-            self.advance()
-            return Globally(self.unary())
-        if kind == "TILDE":
-            self.advance()
-            return ContradictoryNeg(self.unary())
+            return node(self.unary())
         if kind == "BANG":
             self.advance()
             tok = self.expect("IDENT")
             if tok[1] == "dep" and self.peek()[0] == "LPAR":
                 raise ParseError("'!' applies to a proposition, not a dep atom", tok[2], tok[3])
             return NegativeLiteral(tok[1])
+        if kind == "LPAR":
+            self.advance()
+            f = self.disj()
+            self.expect("RPAR")
+            return f
         return self.atom()
 
     def atom(self) -> Formula:
         kind, value, line, col = self.peek()
-        if kind == "LPAR":
-            self.advance()
-            f = self.split()
-            self.expect("RPAR")
-            return f
         if kind == "AT":
             self.advance()
             name = self.expect("IDENT")[1]
@@ -315,50 +320,61 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # rendering
 
-_LEVEL_SPLIT, _LEVEL_AND, _LEVEL_UNTILREL, _LEVEL_UNARY, _LEVEL_ATOM = range(5)
+_LEVEL_OR, _LEVEL_AND, _LEVEL_UNTILREL, _LEVEL_UNARY = range(4)
 
 
-def _render(f: Formula, required: int) -> str:
+def _render(f, required: int, ops: dict, leaf) -> str:
+    """Render f with the parentheses that its context `required` needs.
+
+    `ops` maps each operator node class to its symbol and level: a unary
+    node is a prefix, `|` and `&` chain to the left, U and R to the
+    right with one kind per chain.  `leaf` renders every other node,
+    which never needs parentheses.
+    """
+    cls = type(f)
+    op = ops.get(cls)
+    if op is None:
+        return leaf(f)
+    symbol, level = op
+    if level == _LEVEL_UNARY:
+        s = symbol + _render(f.sub, level, ops, leaf)
+    else:
+        if level == _LEVEL_UNTILREL:
+            left, right = level + 1, level if type(f.rhs) is cls else level + 1
+        else:
+            left, right = level, level + 1
+        s = _render(f.lhs, left, ops, leaf) + symbol + _render(f.rhs, right, ops, leaf)
+    return f"({s})" if level < required else s
+
+
+_OPS = {
+    Split: (" | ", _LEVEL_OR),
+    And: (" & ", _LEVEL_AND),
+    Until: (" U ", _LEVEL_UNTILREL),
+    Release: (" R ", _LEVEL_UNTILREL),
+    Next: ("X ", _LEVEL_UNARY),
+    Eventually: ("F ", _LEVEL_UNARY),
+    Globally: ("G ", _LEVEL_UNARY),
+    ContradictoryNeg: ("~", _LEVEL_UNARY),
+}
+
+
+def _render_atom(f: Formula) -> str:
     match f:
         case PositiveLiteral(name):
             return name
         case NegativeLiteral(name):
-            s, level = f"!{name}", _LEVEL_ATOM
+            return f"!{name}"
         case DepAtom(determinants, determined):
-            s = f"dep({','.join(determinants)};{','.join(determined)})"
-            level = _LEVEL_ATOM
+            return f"dep({','.join(determinants)};{','.join(determined)})"
         case GenAtom(name, args):
-            s, level = f"@{name}({','.join(args)})", _LEVEL_ATOM
-        case Next(sub):
-            s, level = f"X {_render(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case Eventually(sub):
-            s, level = f"F {_render(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case Globally(sub):
-            s, level = f"G {_render(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case ContradictoryNeg(sub):
-            s, level = f"~{_render(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case Until(lhs, rhs):
-            right = _render(rhs, _LEVEL_UNTILREL if isinstance(rhs, Until) else _LEVEL_UNARY)
-            s, level = f"{_render(lhs, _LEVEL_UNARY)} U {right}", _LEVEL_UNTILREL
-        case Release(lhs, rhs):
-            right = _render(rhs, _LEVEL_UNTILREL if isinstance(rhs, Release) else _LEVEL_UNARY)
-            s, level = f"{_render(lhs, _LEVEL_UNARY)} R {right}", _LEVEL_UNTILREL
-        case And(lhs, rhs):
-            s = f"{_render(lhs, _LEVEL_AND)} & {_render(rhs, _LEVEL_UNTILREL)}"
-            level = _LEVEL_AND
-        case Split(lhs, rhs):
-            s = f"{_render(lhs, _LEVEL_SPLIT)} | {_render(rhs, _LEVEL_AND)}"
-            level = _LEVEL_SPLIT
-        case _:
-            raise TypeError(f"not a formula node: {f!r}")
-    if level < required:
-        return f"({s})"
-    return s
+            return f"@{name}({','.join(args)})"
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 def render_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse_formula(render_formula(f)) == f."""
-    return _render(f, _LEVEL_SPLIT)
+    return _render(f, _LEVEL_OR, _OPS, _render_atom)
 
 
 # ---------------------------------------------------------------------------

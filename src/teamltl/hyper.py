@@ -6,11 +6,19 @@ bound to pi.  The body has full classical negation; conjunction and the
 derived temporal operators F, G, R are first-class nodes so that the
 translations and the renderer round-trip structurally.
 
-check_hyper enumerates the quantifiers over the members of a finite team
-and evaluates the body on the joint lasso of the assigned traces: with
-stem the maximal prefix length and period the lcm of the loop lengths,
-position stem + period wraps back to stem.  Temporal operators advance
-one shared position index across all assigned traces.
+The body grammar is the plain formula grammar's core (`formula._Parser`
+and the table-driven `formula._render`) over these nodes, with `!`
+negating any subformula and `p@var` as the only atom.
+
+check_hyper enumerates the quantifiers over the members of a finite team.
+It translates the body once into pure LTL in negation normal form over
+joint propositions `p@pi`, and evaluates that with `classical.node_values`
+on the joint lasso of each assignment: positions 0 .. stem + period - 1,
+with stem the longest prefix and period the lcm of the loop lengths, and
+the last position stepping back to stem.  All assigned traces advance
+through this one shared index, which covers every joint suffix, since
+each trace repeats with its loop length from its own prefix end on.  Each
+node of the body costs time linear in the lasso.
 
 ltl_to_forall_hyper prefixes a pure-LTL formula with a single universal
 trace quantifier; on any team the result agrees with the asynchronous
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .classical import _Nodes, node_values
 from .errors import (
     BoundExceeded,
     MalformedStructure,
@@ -46,7 +55,12 @@ from .formula import (
     Release,
     Split,
     Until,
-    _tokenize,
+    _LEVEL_AND,
+    _LEVEL_OR,
+    _LEVEL_UNARY,
+    _LEVEL_UNTILREL,
+    _Parser,
+    _render,
 )
 from .traces import Team, UPTrace, serialize_trace, value_at
 
@@ -179,27 +193,15 @@ class HyperSentence:
 
 
 # ---------------------------------------------------------------------------
-# parsing (token stream shared with the plain formula grammar)
+# parsing and rendering (the core of the plain formula grammar)
 
 
-class _HyperParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+class _HyperParser(_Parser):
+    OR, AND, UNTIL, RELEASE = HOr, HAnd, HUntil, HRelease
+    UNARY = {"X": HNext, "F": HEventually, "G": HGlobally, "BANG": HNot}
 
     def peek(self, ahead: int = 0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
 
     def sentence(self) -> HyperSentence:
         prefix = []
@@ -213,76 +215,14 @@ class _HyperParser:
             var = self.advance()[1]
             self.advance()  # the dot
             prefix.append((quant, var))
-        body = self.disj()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
-        return HyperSentence(tuple(prefix), body)
-
-    def disj(self) -> HyperBody:
-        f = self.conj()
-        while self.peek()[0] == "PIPE":
-            self.advance()
-            f = HOr(f, self.conj())
-        return f
-
-    def conj(self) -> HyperBody:
-        f = self.untilrel()
-        while self.peek()[0] == "AMP":
-            self.advance()
-            f = HAnd(f, self.untilrel())
-        return f
-
-    def untilrel(self) -> HyperBody:
-        first = self.unary()
-        chain = []
-        op = None
-        while self.peek()[0] in ("U", "R"):
-            tok = self.advance()
-            if op is None:
-                op = tok[0]
-            elif tok[0] != op:
-                raise ParseError(
-                    "cannot mix U and R at the same level, parenthesise", tok[2], tok[3]
-                )
-            chain.append(self.unary())
-        if not chain:
-            return first
-        node = HUntil if op == "U" else HRelease
-        operands = [first] + chain
-        f = operands[-1]
-        for lhs in reversed(operands[:-1]):
-            f = node(lhs, f)
-        return f
-
-    def unary(self) -> HyperBody:
-        kind = self.peek()[0]
-        if kind == "X":
-            self.advance()
-            return HNext(self.unary())
-        if kind == "F":
-            self.advance()
-            return HEventually(self.unary())
-        if kind == "G":
-            self.advance()
-            return HGlobally(self.unary())
-        if kind == "BANG":
-            self.advance()
-            return HNot(self.unary())
-        return self.atom()
+        return HyperSentence(tuple(prefix), self.formula())
 
     def atom(self) -> HyperBody:
         kind, value, line, col = self.peek()
-        if kind == "LPAR":
-            self.advance()
-            f = self.disj()
-            self.expect("RPAR")
-            return f
         if kind == "IDENT":
             self.advance()
             self.expect("AT")
-            var = self.expect("IDENT")[1]
-            return HAtom(value, var)
+            return HAtom(value, self.expect("IDENT")[1])
         raise ParseError(f"expected an atom p@var, found {value!r}", line, col)
 
 
@@ -291,127 +231,36 @@ def parse_hyper(text: str) -> HyperSentence:
     return _HyperParser(text).sentence()
 
 
-_LEVEL_OR, _LEVEL_AND, _LEVEL_UNTILREL, _LEVEL_UNARY, _LEVEL_ATOM = range(5)
+_OPS = {
+    HOr: (" | ", _LEVEL_OR),
+    HAnd: (" & ", _LEVEL_AND),
+    HUntil: (" U ", _LEVEL_UNTILREL),
+    HRelease: (" R ", _LEVEL_UNTILREL),
+    HNext: ("X ", _LEVEL_UNARY),
+    HEventually: ("F ", _LEVEL_UNARY),
+    HGlobally: ("G ", _LEVEL_UNARY),
+    HNot: ("!", _LEVEL_UNARY),
+}
 
 
-def _render_body(b: HyperBody, required: int) -> str:
-    match b:
-        case HAtom(prop, var):
-            return f"{prop}@{var}"
-        case HNot(sub):
-            s, level = f"!{_render_body(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case HNext(sub):
-            s, level = f"X {_render_body(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case HEventually(sub):
-            s, level = f"F {_render_body(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case HGlobally(sub):
-            s, level = f"G {_render_body(sub, _LEVEL_UNARY)}", _LEVEL_UNARY
-        case HUntil(lhs, rhs):
-            right = _render_body(
-                rhs, _LEVEL_UNTILREL if isinstance(rhs, HUntil) else _LEVEL_UNARY
-            )
-            s = f"{_render_body(lhs, _LEVEL_UNARY)} U {right}"
-            level = _LEVEL_UNTILREL
-        case HRelease(lhs, rhs):
-            right = _render_body(
-                rhs, _LEVEL_UNTILREL if isinstance(rhs, HRelease) else _LEVEL_UNARY
-            )
-            s = f"{_render_body(lhs, _LEVEL_UNARY)} R {right}"
-            level = _LEVEL_UNTILREL
-        case HAnd(lhs, rhs):
-            s = f"{_render_body(lhs, _LEVEL_AND)} & {_render_body(rhs, _LEVEL_UNTILREL)}"
-            level = _LEVEL_AND
-        case HOr(lhs, rhs):
-            s = f"{_render_body(lhs, _LEVEL_OR)} | {_render_body(rhs, _LEVEL_AND)}"
-            level = _LEVEL_OR
-        case _:
-            raise TypeError(f"not a hyper body node: {b!r}")
-    if level < required:
-        return f"({s})"
-    return s
+def _render_atom(b: HyperBody) -> str:
+    if type(b) is HAtom:
+        return f"{b.prop}@{b.var}"
+    raise TypeError(f"not a hyper body node: {b!r}")
 
 
 def render_hyper(s: HyperSentence) -> str:
     """Render with minimal parentheses; parse_hyper inverts this."""
     head = "".join(f"{quant} {var}. " for quant, var in s.prefix)
-    return head + _render_body(s.body, _LEVEL_OR)
+    return head + _render(s.body, _LEVEL_OR, _OPS, _render_atom)
 
 
 # ---------------------------------------------------------------------------
 # evaluation over a finite team
 
 
-def _eval_body(body: HyperBody, assignment: dict[str, UPTrace]) -> bool:
-    """Classical evaluation on the joint lasso of the assigned traces.
-
-    All assigned traces advance through one shared position index; the
-    index space is the joint lasso [0, stem + period) with the back edge
-    stem + period -> stem, which covers every joint suffix of the
-    assignment because each trace's letters repeat with its loop length
-    from its own prefix end onwards.
-    """
-    if assignment:
-        stem = max(len(t.prefix) for t in assignment.values())
-        period = math.lcm(*(len(t.loop) for t in assignment.values()))
-    else:
-        stem, period = 0, 1
-    horizon = stem + period
-
-    def wrap(i: int) -> int:
-        return i if i < horizon else stem + (i - stem) % period
-
-    def walk(i: int) -> list[int]:
-        """Positions reachable from i, in path order, each exactly once."""
-        if i < stem:
-            return list(range(i, horizon))
-        return list(range(i, horizon)) + list(range(stem, i))
-
-    memo: dict[tuple[int, int], bool] = {}
-
-    def val(b: HyperBody, i: int) -> bool:
-        key = (id(b), i)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        match b:
-            case HAtom(prop, var):
-                out = prop in value_at(assignment[var], i)
-            case HNot(sub):
-                out = not val(sub, i)
-            case HAnd(lhs, rhs):
-                out = val(lhs, i) and val(rhs, i)
-            case HOr(lhs, rhs):
-                out = val(lhs, i) or val(rhs, i)
-            case HNext(sub):
-                out = val(sub, wrap(i + 1))
-            case HEventually(sub):
-                out = any(val(sub, j) for j in walk(i))
-            case HGlobally(sub):
-                out = all(val(sub, j) for j in walk(i))
-            case HUntil(lhs, rhs):
-                # only the first rhs-position can witness: any later one
-                # needs lhs on a superset of the positions before it
-                out = False
-                before: list[int] = []
-                for j in walk(i):
-                    if val(rhs, j):
-                        out = all(val(lhs, w) for w in before)
-                        break
-                    before.append(j)
-            case HRelease(lhs, rhs):
-                out = True
-                before = []
-                for j in walk(i):
-                    if not val(rhs, j):
-                        out = any(val(lhs, w) for w in before)
-                        break
-                    before.append(j)
-            case _:
-                raise TypeError(f"not a hyper body node: {b!r}")
-        memo[key] = out
-        return out
-
-    return val(body, 0)
+def _joint_atom(prop: str, var: str) -> str:
+    return f"{prop}@{var}"
 
 
 def check_hyper(team: Team, s: HyperSentence, prefix_cap: int = HYPER_PREFIX_CAP) -> bool:
@@ -426,10 +275,24 @@ def check_hyper(team: Team, s: HyperSentence, prefix_cap: int = HYPER_PREFIX_CAP
             f"quantifier prefix length {len(s.prefix)} exceeds the cap {prefix_cap}"
         )
     members = sorted(team, key=serialize_trace)
+    nodes = _Nodes(_nnf(s.body, _joint_atom))
+    read = sorted(free_trace_variables(s.body))
+
+    def holds(assignment: dict[str, UPTrace]) -> bool:
+        # the lasso spans only the traces the body reads
+        traces = [(var, assignment[var]) for var in read]
+        stem = max(len(t.prefix) for _, t in traces)
+        period = math.lcm(*(len(t.loop) for _, t in traces))
+        letters = [
+            frozenset(_joint_atom(prop, var) for var, t in traces for prop in value_at(t, i))
+            for i in range(stem + period)
+        ]
+        succ = list(range(1, stem + period)) + [stem]
+        return node_values(nodes, succ, letters)[nodes.root][0]
 
     def run(i: int, assignment: dict[str, UPTrace]) -> bool:
         if i == len(s.prefix):
-            return _eval_body(s.body, assignment)
+            return holds(assignment)
         quant, var = s.prefix[i]
         branch = any if quant == "E" else all
         return branch(run(i + 1, {**assignment, var: t}) for t in members)
@@ -481,25 +344,34 @@ def ltl_to_forall_hyper(f: Formula, trace_var: str = "pi") -> HyperSentence:
 
 def forall_hyper_to_ltl(s: HyperSentence) -> Formula:
     """Strip the single universal quantifier, yielding pure LTL in
-    negation normal form.
+    negation normal form (see `_nnf`).
 
-    Classical negation is pushed to the literals with the temporal
-    dualities (X self-dual, F/G dual, U/R dual).  Sentences with any
-    other prefix are rejected: an existential quantifier has no
-    team-equivalent formula (witness: a team satisfying `E pi. p@pi`
-    with a subteam that does not, while team satisfaction of formulas
-    is downward closed on the pure fragment).
+    Sentences with any other prefix are rejected: an existential
+    quantifier has no team-equivalent formula (witness: a team satisfying
+    `E pi. p@pi` with a subteam that does not, while team satisfaction of
+    formulas is downward closed on the pure fragment).
     """
     if len(s.prefix) != 1 or s.prefix[0][0] != "A":
         raise NotForallFragment(
             "only sentences with exactly one universal quantifier translate; "
             f"got prefix {' '.join(q + ' ' + v for q, v in s.prefix) or '(empty)'}"
         )
+    return _nnf(s.body, lambda prop, var: prop)
+
+
+def _nnf(body: HyperBody, atom) -> Formula:
+    """The body as LTL in negation normal form, with the proposition
+    `atom(prop, var)` for each atom `prop@var`.
+
+    Classical negation is pushed to the literals with the temporal
+    dualities (X self-dual, F/G dual, U/R dual).
+    """
 
     def go(b: HyperBody, negated: bool) -> Formula:
         match b:
-            case HAtom(prop, _):
-                return NegativeLiteral(prop) if negated else PositiveLiteral(prop)
+            case HAtom(prop, var):
+                name = atom(prop, var)
+                return NegativeLiteral(name) if negated else PositiveLiteral(name)
             case HNot(sub):
                 return go(sub, not negated)
             case HAnd(lhs, rhs):
@@ -525,4 +397,4 @@ def forall_hyper_to_ltl(s: HyperSentence) -> Formula:
             case _:
                 raise TypeError(f"not a hyper body node: {b!r}")
 
-    return go(s.body, False)
+    return go(body, False)

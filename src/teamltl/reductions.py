@@ -188,14 +188,6 @@ def qbf_brute_force(q: QBFInstance) -> bool:
 # QBF -> synchronous team satisfiability (pure LTL)
 
 
-def _splitjunction(parts: list[Formula]) -> Formula:
-    return reduce(Split, parts)
-
-
-def _conjunction(parts: list[Formula]) -> Formula:
-    return reduce(And, parts)
-
-
 def reduce_qbf_sync(q: QBFInstance) -> tuple[Team, Formula]:
     """Encode QBF truth as synchronous satisfaction of a pure LTL formula.
 
@@ -260,9 +252,10 @@ def reduce_qbf_sync(q: QBFInstance) -> tuple[Team, Formula]:
 
     sep = PositiveLiteral("sep")
     end = PositiveLiteral("end")
-    matrix = _splitjunction(
+    matrix = reduce(
+        Split,
         [Eventually(PositiveLiteral(var)) for var in variables]
-        + [Eventually(PositiveLiteral(c)) for c in c_prop]
+        + [Eventually(PositiveLiteral(c)) for c in c_prop],
     )
     g = matrix
     for quant, var in reversed(q.prefix):
@@ -357,9 +350,9 @@ def reduce_qbf_async_dep(q: QBFInstance) -> tuple[Team, Formula]:
     for j in range(1, m + 1):
         exclusions = [DepAtom((f"m{j}k{k}",), (f"z{j}k{k}",)) for k in (1, 2, 3)]
         windows.append(
-            Eventually(_conjunction([PositiveLiteral(f"sel{j}")] + exclusions))
+            Eventually(reduce(And, [PositiveLiteral(f"sel{j}")] + exclusions))
         )
-    g = _conjunction(windows)
+    g = reduce(And, windows)
     for quant, var in reversed(q.prefix):
         i = position[var]
         dep = DepAtom((), (f"p{i}",))
@@ -494,8 +487,8 @@ def reduce_pldep_val_to_tmc(phi: Formula) -> tuple[KripkeStructure, Formula]:
                 Eventually(PositiveLiteral(a if value else a + "_bar"))
                 for a, value in zip(determinants, pattern)
             ]
-            parts.append(And(_conjunction(pins), constancy))
-        return _splitjunction(parts)
+            parts.append(And(reduce(And, pins), constancy))
+        return reduce(Split, parts)
 
     def star(f: Formula) -> Formula:
         match f:
@@ -504,7 +497,7 @@ def reduce_pldep_val_to_tmc(phi: Formula) -> tuple[KripkeStructure, Formula]:
             case NegativeLiteral(v):
                 return Eventually(PositiveLiteral(v + "_bar"))
             case DepAtom(determinants, determined):
-                return _conjunction([dep_piece(determinants, b) for b in determined])
+                return reduce(And, [dep_piece(determinants, b) for b in determined])
             case And(lhs, rhs):
                 return And(star(lhs), star(rhs))
             case Split(lhs, rhs):

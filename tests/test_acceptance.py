@@ -53,6 +53,7 @@ from teamltl.traces import Team, UPTrace, lcm, parse_team, prfx, serialize_trace
 
 from .util import (
     exhaustive_qbf,
+    oracle_trace,
     random_formula,
     random_kripke,
     random_qbf,
@@ -312,8 +313,13 @@ def test_criterion_08_hyper_translation_equivalence(capsys):
         team = random_team(rng, max_size=4)
         f = random_formula(rng, rng.randint(1, 3))
         sentence = ltl_to_forall_hyper(f)
-        if check_hyper(team, sentence) != check_async(team, f):
+        verdict = check_hyper(team, sentence)
+        if verdict != check_async(team, f):
             violations.append(f"translation: {render_formula(f)}")
+        # check_hyper and check_async share classical.node_values, so the
+        # per-trace unrolling oracle is the independent reference
+        if verdict != all(oracle_trace(t, f) for t in team):
+            violations.append(f"translation vs per-trace oracle: {render_formula(f)}")
         back = forall_hyper_to_ltl(sentence)
         if back != f or check_async(team, back) != check_async(team, f):
             violations.append(f"round trip: {render_formula(f)}")

@@ -42,14 +42,29 @@ def test_check_path_two_semantics(run, team_file):
     assert run("check-path", "--semantics", "async", "--formula", "F p | F p", "--team", team_file) == (0, "HOLDS\n")
 
 
-def test_check_path_engines_agree(run, team_file):
-    for formula in ("F p", "F p | F p", "G (p | !p)"):
-        flat = run("check-path", "--semantics", "async", "--formula", formula, "--team", team_file)
-        general = run(
-            "check-path", "--semantics", "async", "--formula", formula,
-            "--team", team_file, "--async-engine", "general",
-        )
-        assert flat == general
+def test_check_path_rejects_async_engine(run, team_file):
+    # check_async is the one asynchronous entry point: no engine to choose
+    for engine in ("flat", "general"):
+        assert run(
+            "check-path", "--semantics", "async", "--formula", "F p",
+            "--team", team_file, "--async-engine", engine,
+        ) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "semantics, extra, out",
+    [
+        ("sync", ("--async-engine", "general"), ""),
+        ("async", ("--max-lcm", "1"), "ERROR --max-lcm caps only synchronous checking\n"),
+        ("sync", ("--max-grid", "1"), "ERROR --max-grid caps only asynchronous checking\n"),
+    ],
+    ids=["sync-async-engine", "async-max-lcm", "sync-max-grid"],
+)
+def test_check_path_rejects_flags_its_semantics_ignores(run, team_file, semantics, extra, out):
+    assert run(
+        "check-path", "--semantics", semantics, "--formula", "F p | F p",
+        "--team", team_file, *extra,
+    ) == (2, out)
 
 
 def test_check_path_formula_from_file(run, team_file, tmp_path):

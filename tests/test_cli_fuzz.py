@@ -80,13 +80,11 @@ def flags(names):
 # each call: (argv, files), where "<name>" in argv is the path of files[name]
 calls = st.one_of(
     st.builds(
-        lambda sem, f, team, engine, extra: (
-            ["check-path", "--semantics", sem, "--formula", f, "--team", "<team>",
-             "--async-engine", engine, *extra],
+        lambda sem, f, team, extra: (
+            ["check-path", "--semantics", sem, "--formula", f, "--team", "<team>", *extra],
             {"team": team},
         ),
-        semantics, formula_texts, team_texts, st.sampled_from(["flat", "general"]),
-        flags(["--max-lcm", "--max-team", "--max-grid"]),
+        semantics, formula_texts, team_texts, flags(["--max-lcm", "--max-team", "--max-grid"]),
     ),
     st.builds(
         lambda sem, f, k, extra: (

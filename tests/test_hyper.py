@@ -83,21 +83,26 @@ def test_parse_negation_scopes_over_subformulas():
     )
 
 
+PARSE_ERRORS = [
+    ("E pi. p@", 9, "expected IDENT, found ''"),  # missing trace variable
+    ("E pi. @pi", 7, "expected an atom p@var, found '@'"),  # missing proposition
+    ("E pi. p pi", 9, "expected AT, found 'pi'"),  # missing @
+    ("E pi. p@pi q@pi", 12, "unexpected 'q'"),  # trailing junk
+    ("E pi. p@pi U q@pi R p@pi", 19, "cannot mix U and R at the same level, parenthesise"),
+    ("E pi.", 6, "expected an atom p@var, found ''"),  # no body
+    ("", 1, "expected an atom p@var, found ''"),  # empty input
+    ("E pi. ~p@pi", 7, "expected an atom p@var, found '~'"),  # ~ is for teams only
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "E pi. p@",  # missing trace variable
-        "E pi. @pi",  # missing proposition
-        "E pi. p pi",  # missing @
-        "E pi. p@pi q@pi",  # trailing junk
-        "E pi. p@pi U q@pi R p@pi",  # mixed U/R chain
-        "E pi.",  # no body
-        "",  # empty input
-    ],
+    "text, column, message", [pytest.param(*case, id=case[0]) for case in PARSE_ERRORS]
 )
-def test_parse_errors(text):
-    with pytest.raises(ParseError):
+def test_parse_errors(text, column, message):
+    with pytest.raises(ParseError) as info:
         parse_hyper(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    assert str(info.value) == f"line 1, column {column}: {message}"
 
 
 def test_unbound_variable_rejected():
@@ -258,6 +263,47 @@ def test_joint_lasso_matches_direct_unrolling():
         s = HyperSentence(prefix, random_body(rng, 3, variables))
         team = random_team(rng, max_size=3, max_prefix=2, max_loop=3)
         assert check_hyper(team, s) == oracle_hyper(team, s), render_hyper(s)
+
+
+FIXPOINT_BODIES = [
+    "(p@x U q@y) U (r@x R p@y)",
+    "(p@x R q@y) R (q@x U r@y)",
+    "p@x U (q@y R (r@x U p@y))",
+    "G (p@x U (r@y | q@x))",
+    "F (p@x R !q@y) & G F r@y",
+    "F G (q@x | !r@y) | G (p@y R F r@x)",
+    "!(p@x U X q@y) R (F r@x U G !p@y)",
+]
+
+
+@pytest.mark.parametrize("body", FIXPOINT_BODIES)
+def test_joint_lasso_fixpoints_on_coprime_loops(body):
+    # joint lassos of prefix <= 2 and pairwise coprime loops (period up to
+    # 35) make the U/R fixpoints iterate far past the traces' own lengths;
+    # r holds on every prefix letter and rarely in the loops, so a fixpoint
+    # that wraps into the stem instead of the loop start reads it wrongly
+    rng = random.Random(body)
+
+    def letter(r_prob):
+        return fs(c for c in "pq" if rng.random() < 0.5) | (
+            {"r"} if rng.random() < r_prob else set()
+        )
+
+    verdicts = []
+    for loops in ((3, 4, 5), (4, 7), (5, 7, 3)):
+        team = Team(
+            UPTrace(
+                tuple(letter(1) for _ in range(2 if k == 0 else rng.randint(0, 2))),
+                tuple(letter(0.1) for _ in range(n)),
+            )
+            for k, n in enumerate(loops)
+        )
+        for quants in ("A x. E y.", "E x. A y.", "A x. A y.", "E x. E y."):
+            s = parse_hyper(f"{quants} {body}")
+            verdict = check_hyper(team, s)
+            assert verdict == oracle_hyper(team, s), (render_hyper(s), team)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
