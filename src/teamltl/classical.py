@@ -295,15 +295,20 @@ def _covers(nodes, at_rank, bit, lit, obligations):
     / false now (literal n names proposition bit lit[n]), of the
     obligations deferred to the next position, and of the eventualities
     fulfilled right here.  Obligations are expanded lowest rank first,
-    each expansion ahead of the rest; locally contradictory branches are
-    pruned.
+    each expansion ahead of the rest, and each at most once per branch
+    (the "Old" set of Gerth, Peled, Vardi and Wolper): a second expansion
+    could only add constraints, giving a dominated cover.  Locally
+    contradictory branches are pruned.
     """
     kind, lhs, rhs = nodes.kind, nodes.lhs, nodes.rhs
     results: dict = {}  # an ordered set of covers
 
-    def go(pending, pos, neg, nxt, fulfilled):
+    def go(pending, pos, neg, nxt, fulfilled, done):
         while pending is not None:  # a linked list (node, rest)
             g, pending = pending
+            if done & bit[g]:
+                continue
+            done |= bit[g]
             k = kind[g]
             if k == _POS:
                 if lit[g] & neg:
@@ -316,12 +321,12 @@ def _covers(nodes, at_rank, bit, lit, obligations):
             elif k == _AND:
                 pending = (lhs[g], (rhs[g], pending))
             elif k == _SPLIT:
-                go((lhs[g], pending), pos, neg, nxt, fulfilled)
+                go((lhs[g], pending), pos, neg, nxt, fulfilled, done)
                 pending = (rhs[g], pending)
             elif k == _NEXT:
                 nxt |= bit[rhs[g]]
             elif k in (_F, _U):  # F b reads as true U b
-                go((rhs[g], pending), pos, neg, nxt, fulfilled | bit[g])
+                go((rhs[g], pending), pos, neg, nxt, fulfilled | bit[g], done)
                 if k == _U:
                     pending = (lhs[g], pending)
                 nxt |= bit[g]
@@ -329,7 +334,7 @@ def _covers(nodes, at_rank, bit, lit, obligations):
                 pending = (rhs[g], pending)
                 nxt |= bit[g]
             elif k == _R:
-                go((rhs[g], (lhs[g], pending)), pos, neg, nxt, fulfilled)
+                go((rhs[g], (lhs[g], pending)), pos, neg, nxt, fulfilled, done)
                 pending = (rhs[g], pending)
                 nxt |= bit[g]
             else:
@@ -343,7 +348,7 @@ def _covers(nodes, at_rank, bit, lit, obligations):
     for r in reversed(range(obligations.bit_length())):
         if obligations >> r & 1:
             pending = (at_rank[r], pending)
-    go(pending, 0, 0, 0, 0)
+    go(pending, 0, 0, 0, 0, 0)
     return list(results)
 
 
@@ -352,6 +357,10 @@ def ltl_to_nba(f: Formula) -> NBA:
 
     f must be plain temporal syntax (no ~, dep or generalised atoms).
     Each tableau cover of a state gives one edge, labelled (pos, neg).
+    The cover's eventualities fulfilled or no longer pending are read off
+    its full next obligations; then G h absorbs h there, since expanding
+    G h pushes h again and `_covers` expands each node once per branch,
+    so the states with and without h have the same covers.
     The tableau runs on f's hash-consed nodes, ranked in preorder, over
     states (obligation mask, counter); the automaton's states (frozenset
     of subformulas, counter) are built once, at the end.
@@ -374,6 +383,7 @@ def ltl_to_nba(f: Formula) -> NBA:
     names, formulas = list(prop), [nodes.formula[n] for n in at_rank]
     ev_bits = [bit[n] for n in at_rank if nodes.kind[n] in (_F, _U)]
     ev_mask, k = sum(ev_bits), len(ev_bits)
+    absorbs = [(bit[n], bit[nodes.rhs[n]]) for n in at_rank if nodes.kind[n] == _G]
 
     def named(mask, universe):
         return frozenset(universe[r] for r in range(mask.bit_length()) if mask >> r & 1)
@@ -391,7 +401,10 @@ def ltl_to_nba(f: Formula) -> NBA:
                 if (pos, neg) not in labels:
                     labels[pos, neg] = (named(pos, names), named(neg, names))
                 # eventualities fulfilled here or no longer pending
-                covers.append((labels[pos, neg], nxt, (fulfilled | ~nxt) & ev_mask))
+                good = (fulfilled | ~nxt) & ev_mask
+                # G h re-creates h when expanded, so h need not be kept
+                absorbed = sum(h for g, h in absorbs if nxt & g)
+                covers.append((labels[pos, neg], nxt & ~absorbed, good))
         start = 0 if counter == k else counter
         edges = []
         for label, nxt, good in covers:

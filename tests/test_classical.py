@@ -26,7 +26,14 @@ from teamltl.kripke import parse_kripke
 from teamltl.teamcheck import AtomRegistry, GenAtomDef, Team, check_sync, constancy_atom_def
 from teamltl.traces import UPTrace, parse_trace_line, value_at
 
-from .util import formulas, oracle_trace, random_formula, random_trace, up_traces
+from .util import (
+    formulas,
+    oracle_trace,
+    random_formula,
+    random_kripke,
+    random_trace,
+    up_traces,
+)
 
 E = frozenset()
 Sp = frozenset({"p"})
@@ -126,14 +133,19 @@ def _nba_size(text):
 
 
 def test_nba_sizes_pinned():
-    # the tableau keeps every cover, dominated ones included: G F p0 & ...
-    # grows about 2.5x per proposition
-    sizes = [(4, 10, 2), (9, 59, 4), (21, 358, 8), (49, 2141, 16), (113, 12532, 32)]
+    # each obligation is expanded once per branch and G h absorbs h in
+    # successor states, so no dominated cover survives: G F p0 & ... has
+    # one state per counter value plus the initial one, and one edge per
+    # state and subset of the propositions required now
+    sizes = [(2, 4, 1), (4, 16, 1), (5, 40, 1), (6, 96, 1), (7, 224, 1)]
     for n, size in enumerate(sizes, start=1):
         assert _nba_size(" & ".join(f"G F p{i}" for i in range(n))) == size, n
+    for n in range(3, 9):
+        text = " & ".join(f"G F p{i}" for i in range(n))
+        assert _nba_size(text) == (n + 2, (n + 2) * 2**n, 1), n
     assert _nba_size("p U (q & G r)") == (2, 3, 1)
-    assert _nba_size("(p U q) U r") == (4, 11, 1)
-    assert _nba_size("F G p & G F q & G (!q | X !r)") == (8, 43, 2)
+    assert _nba_size("(p U q) U r") == (4, 10, 1)
+    assert _nba_size("F G p & G F q & G (!q | X !r)") == (6, 27, 1)
 
 
 def test_nba_edges_are_literal_constraints():
@@ -155,6 +167,24 @@ def test_nba_agrees_with_check_trace_bulk():
             # r is never named by f: edges leave it free
             t = random_trace(rng, pool=("p", "q", "r"), max_prefix=2, max_loop=3)
             assert nba_accepts(nba, t) == check_trace(t, f), (f, t)
+
+
+def test_nba_agrees_with_oracle_trace_bulk():
+    # check_trace shares node_values with the engines; the recursive
+    # unrolling oracle shares nothing with the tableau
+    rng = random.Random(20261019)
+    sat_count = 0
+    for _ in range(300):
+        f = random_formula(rng, depth=4)
+        nba = ltl_to_nba(f)
+        for _ in range(5):
+            t = random_trace(rng, max_prefix=3, max_loop=4)
+            assert nba_accepts(nba, t) == oracle_trace(t, f), (f, t)
+        w = classical_sat(f)
+        if w is not None:
+            sat_count += 1
+            assert oracle_trace(w, f), (f, w)
+    assert sat_count > 100
 
 
 # prints each formula's automaton (states in construction order, edges in
@@ -188,6 +218,8 @@ def test_nba_and_tsat_independent_of_hash_seed():
         "F G p & G F q & G (!q | X !r)",
         "(p U q) U r",
         "G F p & G F q & G F r & F s",
+        " & ".join(f"G F p{i}" for i in range(6)),
+        "G (p U q) & G F r",
     ]
     outs = []
     for seed in ("0", "1"):
@@ -322,6 +354,46 @@ def test_classical_mc_agrees_with_trace_enumeration():
             assert not check_trace(cex.as_trace(), f)
         checked += 1
     assert checked > 15
+
+
+def _is_run_of(k, w):
+    """Whether some path of k from its initial world reads the lasso w.
+
+    Nodes pair a world with a position of w's stem and cycle whose letter
+    is the world's label; w is read iff the initial node survives the
+    repeated removal of nodes without a successor.
+    """
+    word = w.stem + w.cycle
+    succ = list(range(1, len(word))) + [len(w.stem)]
+    nodes = {
+        (v, j) for v in k.worlds for j in range(len(word)) if k.labels[v] == word[j]
+    }
+    while True:
+        alive = {
+            (v, j) for (v, j) in nodes
+            if any((u, succ[j]) in nodes for u in k.edges[v])
+        }
+        if alive == nodes:
+            return (k.init, 0) in nodes
+        nodes = alive
+
+
+def test_classical_mc_counterexamples_are_violating_runs():
+    # branching is common here, so many of these structures have
+    # infinitely many traces and no finite team to enumerate
+    rng = random.Random(31)
+    found = 0
+    for _ in range(150):
+        k = random_kripke(rng, max_worlds=5, branch_prob=0.5)
+        f = random_formula(rng, depth=3, pool=("p", "q"))
+        holds, cex = classical_mc(k, f)
+        if holds:
+            assert cex is None
+            continue
+        found += 1
+        assert _is_run_of(k, cex), (k, f, cex)
+        assert not oracle_trace(cex.as_trace(), f), (k, f, cex)
+    assert found > 50
 
 
 def _random_kripke(rng, max_worlds=5, pool=("p", "q")):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from teamltl.cli import main
@@ -9,7 +14,9 @@ from teamltl.formula import parse_formula
 from teamltl.kripke import parse_kripke, traces_team_finite
 from teamltl.reductions import pl_team_brute_force
 from teamltl.teamcheck import check_sync
-from teamltl.traces import parse_team
+from teamltl.traces import parse_team, parse_trace_line
+
+from .util import oracle_trace
 
 EXAMPLE_TEAM = "{p} ; {}\n{} {p} ; {}\n"
 
@@ -214,6 +221,24 @@ def test_sat_long_inline_formula(run):
         0,
         "SAT\n{" + ",".join(sorted(names)) + "} ; {}\n",
     )
+
+
+def test_sat_many_fairness_constraints_in_seconds():
+    # G F p0 & ... & G F p9: the tableau has n + 2 states, not about 3^n
+    formula = " & ".join(f"G F p{i}" for i in range(10))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "teamltl.cli", "sat", "--semantics", "sync", "--formula", formula],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    verdict, witness = done.stdout.splitlines()
+    assert verdict == "SAT"
+    assert oracle_trace(parse_trace_line(witness), parse_formula(formula))
 
 
 def test_sat_deeply_nested_formula_is_input_error(run, tmp_path):
