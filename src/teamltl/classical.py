@@ -32,6 +32,8 @@ from .formula import (
     Release,
     Split,
     Until,
+    _operands,
+    _rebuild,
     dualize,
     props,
     render_formula,
@@ -147,6 +149,8 @@ def _cycles_and_tails(succ: list[int]) -> tuple[list[list[int]], list[int]]:
     cycles: list[list[int]] = []
     tails: list[int] = []
     for u in range(len(succ)):
+        if state[u]:
+            continue
         path = []
         while not state[u]:
             state[u] = 1
@@ -611,12 +615,12 @@ def tsat(f: Formula, semantics: str, atoms=None) -> UPTrace | None:
     tautology_prop = _fresh_prop(taken, "taut")
     tautology = Split(PositiveLiteral(tautology_prop), NegativeLiteral(tautology_prop))
 
-    def rewrite(g: Formula) -> Formula:
+    def step(g: Formula, _):
         match g:
             case PositiveLiteral() | NegativeLiteral():
-                return g
+                return g, ()
             case DepAtom():
-                return tautology
+                return tautology, ()
             case GenAtom(name=name):
                 if atoms is None:
                     raise UnsupportedFragment(
@@ -628,18 +632,16 @@ def tsat(f: Formula, semantics: str, atoms=None) -> UPTrace | None:
                         f"satisfiability via singleton teams needs atom {name!r} "
                         "to be downward closed and true on all singletons"
                     )
-                return tautology
+                return tautology, ()
             case ContradictoryNeg():
                 raise UnsupportedFragment(
                     "satisfiability with contradictory negation is not supported"
                 )
-            case And() | Split() | Until() | Release():
-                return type(g)(rewrite(g.lhs), rewrite(g.rhs))
-            case Next() | Eventually() | Globally():
-                return type(g)(rewrite(g.sub))
+            case And() | Split() | Until() | Release() | Next() | Eventually() | Globally():
+                return type(g), [(h, None) for h in _operands(g)]
         raise UnsupportedFragment(f"cannot rewrite {render_formula(g)}")
 
-    witness = classical_sat(rewrite(f))
+    witness = classical_sat(_rebuild(f, step))
     if witness is None:
         return None
     return UPTrace(

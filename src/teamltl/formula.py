@@ -117,6 +117,36 @@ class GenAtom(Formula):
 _CONNECTIVES = (And, Split, Next, Eventually, Globally, Until, Release, ContradictoryNeg)
 
 
+def _chain_hash(self) -> int:
+    """The dataclass hash, hash((lhs, rhs)), cached on each `&` and `|` node.
+
+    A chain's nodes are hashed operands first, so a long conjunction is
+    hashed without deep recursion; other connectives keep the recursive
+    dataclass hash, and with it Python's limit on their nesting depth.
+    """
+    if "_hash" not in self.__dict__:
+        order, stack = [], [self]
+        while stack:
+            g = stack.pop()
+            if type(g) in _CHAINED and "_hash" not in g.__dict__:
+                order.append(g)
+                stack += [g.lhs, g.rhs]
+        for g in reversed(order):
+            object.__setattr__(g, "_hash", hash((g.lhs, g.rhs)))
+    return self._hash
+
+
+def _uncached_state(self) -> dict:
+    # string hashes differ between processes, so a pickle leaves the cache out
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
+_CHAINED = (And, Split)
+for _cls in _CHAINED:
+    _cls.__hash__ = _chain_hash
+    _cls.__getstate__ = _uncached_state
+
+
 # ---------------------------------------------------------------------------
 # lexer / parser
 
@@ -329,22 +359,36 @@ def _render(f, required: int, ops: dict, leaf) -> str:
     `ops` maps each operator node class to its symbol and level: a unary
     node is a prefix, `|` and `&` chain to the left, U and R to the
     right with one kind per chain.  `leaf` renders every other node,
-    which never needs parentheses.
+    which never needs parentheses.  The walk keeps an explicit stack of
+    pending nodes and text, so long chains need no recursion.
     """
-    cls = type(f)
-    op = ops.get(cls)
-    if op is None:
-        return leaf(f)
-    symbol, level = op
-    if level == _LEVEL_UNARY:
-        s = symbol + _render(f.sub, level, ops, leaf)
-    else:
+    out = []
+    stack: list = [(f, required)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, required = item
+        cls = type(g)
+        op = ops.get(cls)
+        if op is None:
+            out.append(leaf(g))
+            continue
+        symbol, level = op
+        if level < required:
+            out.append("(")
+            stack.append(")")
+        if level == _LEVEL_UNARY:
+            out.append(symbol)
+            stack.append((g.sub, level))
+            continue
         if level == _LEVEL_UNTILREL:
-            left, right = level + 1, level if type(f.rhs) is cls else level + 1
+            left, right = level + 1, level if type(g.rhs) is cls else level + 1
         else:
             left, right = level, level + 1
-        s = _render(f.lhs, left, ops, leaf) + symbol + _render(f.rhs, right, ops, leaf)
-    return f"({s})" if level < required else s
+        stack += [(g.rhs, right), symbol, (g.lhs, left)]
+    return "".join(out)
 
 
 _OPS = {
@@ -391,11 +435,54 @@ def formula_length(f: Formula) -> int:
             return 0
 
 
+def _operands(g) -> tuple:
+    """The operands of a formula or hyper body node, left to right."""
+    if hasattr(g, "sub"):
+        return (g.sub,)
+    if hasattr(g, "rhs"):
+        return (g.lhs, g.rhs)
+    return ()
+
+
+def _preorder(f):
+    """The nodes of a formula or hyper body, each parent before its
+    operands and left before right, by an explicit-stack walk."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += reversed(_operands(g))
+
+
+def _rebuild(f, step, ctx=None):
+    """A tree built bottom-up from f with an explicit stack.
+
+    step(node, ctx) is called on each node in preorder.  For a leaf it
+    returns (value, ()); otherwise (make, children), where children are
+    (operand, ctx) pairs and make(*values) combines their results.
+    """
+    values: list = []
+    stack: list = [(False, f, ctx)]  # (False, node, ctx) or (True, make, arity)
+    while stack:
+        built, x, y = stack.pop()
+        if built:
+            args = values[len(values) - y :]
+            del values[len(values) - y :]
+            values.append(x(*args))
+            continue
+        make, children = step(x, y)
+        if not children:
+            values.append(make)
+            continue
+        stack.append((True, make, len(children)))
+        stack += [(False, g, k) for g, k in reversed(children)]
+    return values[0]
+
+
 def props(f: Formula) -> frozenset[Proposition]:
     """All proposition names occurring in f, including atom arguments."""
     out: set[Proposition] = set()
-
-    def walk(g: Formula):
+    for g in _preorder(f):
         match g:
             case PositiveLiteral(name) | NegativeLiteral(name):
                 out.add(name)
@@ -404,13 +491,6 @@ def props(f: Formula) -> frozenset[Proposition]:
                 out.update(determined)
             case GenAtom(_, args):
                 out.update(args)
-            case And(lhs, rhs) | Split(lhs, rhs) | Until(lhs, rhs) | Release(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-            case Next(sub) | Eventually(sub) | Globally(sub) | ContradictoryNeg(sub):
-                walk(sub)
-
-    walk(f)
     return frozenset(out)
 
 
@@ -495,9 +575,7 @@ def fragment_info(f: Formula, atoms=None) -> FragmentInfo:
     """
     has_dep = has_gen = has_neg = has_split = False
     gen_downward = True
-
-    def walk(g: Formula):
-        nonlocal has_dep, has_gen, has_neg, has_split, gen_downward
+    for g in _preorder(f):
         match g:
             case PositiveLiteral(_) | NegativeLiteral(_):
                 pass
@@ -514,22 +592,14 @@ def fragment_info(f: Formula, atoms=None) -> FragmentInfo:
                     )
                 if not defn.downward_closed:
                     gen_downward = False
-            case Split(lhs, rhs):
+            case Split(_, _):
                 has_split = True
-                walk(lhs)
-                walk(rhs)
-            case And(lhs, rhs) | Until(lhs, rhs) | Release(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-            case ContradictoryNeg(sub):
+            case ContradictoryNeg(_):
                 has_neg = True
-                walk(sub)
-            case Next(sub) | Eventually(sub) | Globally(sub):
-                walk(sub)
+            case And() | Until() | Release() | Next() | Eventually() | Globally():
+                pass
             case _:
                 raise TypeError(f"not a formula node: {g!r}")
-
-    walk(f)
     return FragmentInfo(
         pure_ltl=not (has_dep or has_gen or has_neg),
         splitjunction_free=not has_split,

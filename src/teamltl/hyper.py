@@ -18,7 +18,10 @@ with stem the longest prefix and period the lcm of the loop lengths, and
 the last position stepping back to stem.  All assigned traces advance
 through this one shared index, which covers every joint suffix, since
 each trace repeats with its loop length from its own prefix end on.  Each
-node of the body costs time linear in the lasso.
+member's letters, as joint propositions of each variable, are built once
+over its own prefix and loop; an assignment's lasso repeats them and
+unites them position by position.  Each node of the body costs time
+linear in the lasso.
 
 ltl_to_forall_hyper prefixes a pure-LTL formula with a single universal
 trace quantifier; on any team the result agrees with the asynchronous
@@ -55,6 +58,9 @@ from .formula import (
     Release,
     Split,
     Until,
+    _operands,
+    _preorder,
+    _rebuild,
     _LEVEL_AND,
     _LEVEL_OR,
     _LEVEL_UNARY,
@@ -62,7 +68,7 @@ from .formula import (
     _Parser,
     _render,
 )
-from .traces import Team, UPTrace, serialize_trace, value_at
+from .traces import Team, UPTrace, serialize_trace
 
 __all__ = [
     "HYPER_PREFIX_CAP",
@@ -148,23 +154,28 @@ class HRelease(HyperBody):
     rhs: HyperBody
 
 
+# body connective -> the formula connective it becomes, plain and negated
+_NNF = {
+    HAnd: (And, Split),
+    HOr: (Split, And),
+    HNext: (Next, Next),
+    HEventually: (Eventually, Globally),
+    HGlobally: (Globally, Eventually),
+    HUntil: (Until, Release),
+    HRelease: (Release, Until),
+}
+_CONNECTIVES = (HNot, *_NNF)
+_TO_HYPER = {plain: cls for cls, (plain, _) in _NNF.items()}
+
+
 def free_trace_variables(body: HyperBody) -> frozenset[str]:
     """Trace variables read by the body's atoms."""
     out: set[str] = set()
-
-    def walk(b: HyperBody):
-        match b:
-            case HAtom(_, var):
-                out.add(var)
-            case HNot(sub) | HNext(sub) | HEventually(sub) | HGlobally(sub):
-                walk(sub)
-            case HAnd(lhs, rhs) | HOr(lhs, rhs) | HUntil(lhs, rhs) | HRelease(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-            case _:
-                raise TypeError(f"not a hyper body node: {b!r}")
-
-    walk(body)
+    for b in _preorder(body):
+        if type(b) is HAtom:
+            out.add(b.var)
+        elif type(b) not in _CONNECTIVES:
+            raise TypeError(f"not a hyper body node: {b!r}")
     return frozenset(out)
 
 
@@ -277,16 +288,25 @@ def check_hyper(team: Team, s: HyperSentence, prefix_cap: int = HYPER_PREFIX_CAP
     members = sorted(team, key=serialize_trace)
     nodes = _Nodes(_nnf(s.body, _joint_atom))
     read = sorted(free_trace_variables(s.body))
+    # (variable, member) -> the member's letters over its own prefix and
+    # loop, as joint propositions read through that variable
+    own = {
+        (var, id(t)): [frozenset(_joint_atom(p, var) for p in a) for a in t.prefix + t.loop]
+        for var in read
+        for t in members
+    }
 
     def holds(assignment: dict[str, UPTrace]) -> bool:
         # the lasso spans only the traces the body reads
         traces = [(var, assignment[var]) for var in read]
         stem = max(len(t.prefix) for _, t in traces)
         period = math.lcm(*(len(t.loop) for _, t in traces))
-        letters = [
-            frozenset(_joint_atom(prop, var) for var, t in traces for prop in value_at(t, i))
-            for i in range(stem + period)
-        ]
+        columns = []
+        for var, t in traces:
+            cut, word = len(t.prefix), own[var, id(t)]
+            column = word[:cut] + word[cut:] * ((stem + period - cut) // len(t.loop) + 1)
+            columns.append(column[: stem + period])
+        letters = list(map(frozenset.union, *columns))
         succ = list(range(1, stem + period)) + [stem]
         return node_values(nodes, succ, letters)[nodes.root][0]
 
@@ -312,34 +332,22 @@ def ltl_to_forall_hyper(f: Formula, trace_var: str = "pi") -> HyperSentence:
     LTL holds on a team iff it holds on each trace separately.
     """
 
-    def go(g: Formula) -> HyperBody:
+    def step(g: Formula, _):
         match g:
             case PositiveLiteral(name):
-                return HAtom(name, trace_var)
+                return HAtom(name, trace_var), ()
             case NegativeLiteral(name):
-                return HNot(HAtom(name, trace_var))
-            case And(lhs, rhs):
-                return HAnd(go(lhs), go(rhs))
-            case Split(lhs, rhs):
-                return HOr(go(lhs), go(rhs))
-            case Next(sub):
-                return HNext(go(sub))
-            case Eventually(sub):
-                return HEventually(go(sub))
-            case Globally(sub):
-                return HGlobally(go(sub))
-            case Until(lhs, rhs):
-                return HUntil(go(lhs), go(rhs))
-            case Release(lhs, rhs):
-                return HRelease(go(lhs), go(rhs))
+                return HNot(HAtom(name, trace_var)), ()
             case ContradictoryNeg(_) | DepAtom(_, _) | GenAtom(_, _):
                 raise UnsupportedFragment(
                     f"only pure LTL translates to a universal sentence: {g!r}"
                 )
-            case _:
-                raise TypeError(f"not a formula node: {g!r}")
+        node = _TO_HYPER.get(type(g))
+        if node is None:
+            raise TypeError(f"not a formula node: {g!r}")
+        return node, [(h, None) for h in _operands(g)]
 
-    return HyperSentence((("A", trace_var),), go(f))
+    return HyperSentence((("A", trace_var),), _rebuild(f, step))
 
 
 def forall_hyper_to_ltl(s: HyperSentence) -> Formula:
@@ -367,34 +375,15 @@ def _nnf(body: HyperBody, atom) -> Formula:
     dualities (X self-dual, F/G dual, U/R dual).
     """
 
-    def go(b: HyperBody, negated: bool) -> Formula:
-        match b:
-            case HAtom(prop, var):
-                name = atom(prop, var)
-                return NegativeLiteral(name) if negated else PositiveLiteral(name)
-            case HNot(sub):
-                return go(sub, not negated)
-            case HAnd(lhs, rhs):
-                node = Split if negated else And
-                return node(go(lhs, negated), go(rhs, negated))
-            case HOr(lhs, rhs):
-                node = And if negated else Split
-                return node(go(lhs, negated), go(rhs, negated))
-            case HNext(sub):
-                return Next(go(sub, negated))
-            case HEventually(sub):
-                node = Globally if negated else Eventually
-                return node(go(sub, negated))
-            case HGlobally(sub):
-                node = Eventually if negated else Globally
-                return node(go(sub, negated))
-            case HUntil(lhs, rhs):
-                node = Release if negated else Until
-                return node(go(lhs, negated), go(rhs, negated))
-            case HRelease(lhs, rhs):
-                node = Until if negated else Release
-                return node(go(lhs, negated), go(rhs, negated))
-            case _:
-                raise TypeError(f"not a hyper body node: {b!r}")
+    def step(b: HyperBody, negated: bool):
+        cls = type(b)
+        if cls is HAtom:
+            name = atom(b.prop, b.var)
+            return (NegativeLiteral if negated else PositiveLiteral)(name), ()
+        if cls is HNot:
+            return (lambda g: g), [(b.sub, not negated)]
+        if cls not in _NNF:
+            raise TypeError(f"not a hyper body node: {b!r}")
+        return _NNF[cls][negated], [(h, negated) for h in _operands(b)]
 
-    return go(body, False)
+    return _rebuild(body, step, False)

@@ -18,8 +18,11 @@ Splitjunction enumerates subteam pairs.  For downward-closed formulas it
 is enough to consider partitions (DisjointOnly); a trace can go to a part
 only if the part's formula holds on the singleton, and a partially built
 part that already fails its formula can never recover — both prunings are
-licensed by downward closure.  With contradictory negation in scope the
-semantics-faithful mode enumerates all covers (AllCovers), including
+licensed by downward closure.  So is absorption: a part that is pure and
+flat holds on any set of traces that each satisfy it, so in a
+downward-closed formula every trace such a part admits is placed there
+and only the others are searched.  With contradictory negation in scope
+the semantics-faithful mode enumerates all covers (AllCovers), including
 overlapping ones.
 
 Both engines compute on integers.  Each call first interns every
@@ -37,6 +40,15 @@ pure node's value on every universe trace comes from one
 `classical.node_values` pass over the successor graph at construction,
 kept as the mask of ids that satisfy it; per-trace checks are then one
 mask test.
+
+The sync engine decides F, G, U and R over pure flat operands without
+walking the shifts (the shift-and idea of Baeza-Yates and Gonnet, CACM
+1992, applied to the lockstep team).  A member's signature for a node is
+the int whose bit k says whether its k-th suffix satisfies the node,
+built from its orbit: the prefix bits, then the loop bits repeated up to
+prfx + lcm.  The team satisfies a flat node at shift k iff every member
+does, so the AND of the members' signatures marks the shifts where it
+holds, and the operator reads its verdict off the lowest bits.
 """
 
 from __future__ import annotations
@@ -44,7 +56,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import product
+from operator import and_
 from typing import Callable
 
 from .classical import (
@@ -184,16 +198,18 @@ def _mask(values: list[bool]) -> int:
 class _Engine:
     """Shared machinery: trace universe, memoisation, splits, atoms."""
 
-    def __init__(self, team, f: Formula, atoms, limits: Limits, mode: SplitMode):
+    def __init__(self, team, f: Formula, atoms, limits: Limits, mode: SplitMode, closed: bool):
         self.atoms = atoms
         self.limits = limits
         self.mode = mode
+        self.closed = closed  # f is syntactically downward closed
         self.nodes = _Nodes(f)
         # shortcut[n]: node n holds on a team iff it holds on every member
         self.shortcut = [p and fl for p, fl in zip(self.nodes.pure, self.nodes.flat)]
         self.memo: list[dict[int, bool]] = [{} for _ in range(len(self.nodes))]
         self._members: dict[int, list[int]] = {}
         self._next: dict[int, int] = {}
+        self._orbits: dict[int, list[int]] = {}
         self._intern(team)
         # holds[n]: the mask of the universe ids whose trace satisfies
         # pure node n (None for the other nodes)
@@ -251,9 +267,23 @@ class _Engine:
         got = self._next.get(mask)
         if got is None:
             got = 0
-            for u in self.members(mask):
-                got |= self._succ_bit[u]
+            succ_bit = self._succ_bit
+            rest = mask
+            while rest:
+                low = rest & -rest
+                got |= succ_bit[low.bit_length() - 1]
+                rest ^= low
             self._next[mask] = got
+        return got
+
+    def orbit(self, u: int) -> list[int]:
+        """Ids of trace u's |prefix| + |loop| suffixes, by shift."""
+        got = self._orbits.get(u)
+        if got is None:
+            got = [u]
+            for _ in range(self.prefix_len[u] + self.loop_len[u] - 1):
+                got.append(self.succ[got[-1]])
+            self._orbits[u] = got
         return got
 
     # evaluation ---------------------------------------------------------------
@@ -307,19 +337,34 @@ class _Engine:
         # downward-closed parts: singleton failure rules a part out for a
         # trace, and a partial part that fails can never be repaired by
         # adding more traces.  Empty parts hold trivially (empty team
-        # property for ~-free formulas).
-        members = self.members(mask)
+        # property for ~-free formulas).  A shortcut part holds on any set
+        # of members that each satisfy it, and a downward-closed part stays
+        # true when a member leaves it, so in a downward-closed formula
+        # every member a shortcut part admits goes to the first such part;
+        # only the others are searched.
+        acc = [0] * len(parts)
+        rest = mask
+        if self.closed:
+            for i, p in enumerate(parts):
+                if self.shortcut[p]:
+                    acc[i] = rest & self.holds[p]
+                    rest ^= acc[i]
+        members = self.members(rest)
+        pure, holds = self.nodes.pure, self.holds
         candidates = []
         for u in members:
             bit = 1 << u
-            cand = [i for i, p in enumerate(parts) if self.eval(bit, p)]
+            cand = [
+                i
+                for i, p in enumerate(parts)
+                if (holds[p] & bit if pure[p] else self.eval(bit, p))
+            ]
             if not cand:
                 return False
             candidates.append(cand)
         # traces with a single admissible part are placed up front, and each
         # such core is checked once; traces with a real choice are assigned
         # by backtracking with incremental checks on the growing parts
-        acc = [0] * len(parts)
         for u, cand in zip(members, candidates):
             if len(cand) == 1:
                 acc[cand[0]] |= 1 << u
@@ -373,11 +418,12 @@ class _Engine:
 
 
 class _SyncEngine(_Engine):
-    def __init__(self, team, f, atoms, limits, mode):
-        super().__init__(team, f, atoms, limits, mode)
+    def __init__(self, *args):
+        super().__init__(*args)
         # length -> mask of the universe ids with that loop / prefix length
         self._loops = self._by_length(self.loop_len)
         self._prefixes = self._by_length(self.prefix_len)
+        self._sigs: dict[tuple[int, int, int], int] = {}
 
     @staticmethod
     def _by_length(lengths: list[int]) -> dict[int, int]:
@@ -392,6 +438,17 @@ class _SyncEngine(_Engine):
             raise BoundExceeded(f"loop lcm exceeds the cap of {self.limits.max_lcm}")
         return max((n for n, m in self._prefixes.items() if mask & m), default=0) + loops
 
+    def sig(self, n: int, u: int, width: int) -> int:
+        """Bit k says whether the k-th suffix of trace u satisfies node n."""
+        key = (n, u, width)
+        got = self._sigs.get(key)
+        if got is None:
+            holds, start = self.holds[n], self.prefix_len[u]
+            text = "".join(["1" if holds >> v & 1 else "0" for v in self.orbit(u)])
+            text = text[:start] + text[start:] * ((width - start) // self.loop_len[u] + 1)
+            got = self._sigs[key] = int(text[width - 1 :: -1], 2)
+        return got
+
     def temporal(self, mask: int, n: int) -> bool:
         """F, G, U and R over the lockstep shifts 0..prfx+lcm.
 
@@ -399,14 +456,31 @@ class _SyncEngine(_Engine):
         shift before k; `a R b` fails iff b fails at some shift k and a
         fails at every shift before k.  Both look for a shift where b
         equals `target` with a equal to `target` before it; F and G have
-        no a.  a is evaluated only once b has settled at a later shift,
-        and at each shift once, so the (team, node) pairs evaluated are
-        those of the direct reading of the definitions.
+        no a.  When the operands are shortcut nodes, a team satisfies
+        them at shift k iff every member's k-th suffix does, so the
+        search is a bitwise AND of the members' signatures.  Otherwise a
+        is evaluated only once b has settled at a later shift, and at
+        each shift once, so the (team, node) pairs evaluated are those
+        of the direct reading of the definitions.
         """
         nodes = self.nodes
         a, b = nodes.lhs[n], nodes.rhs[n]
         target = nodes.kind[n] in (_F, _U)
         bound = self.bound(mask)
+        if self.shortcut[b] and (a is None or self.shortcut[a]):
+            width = bound + 1
+            window = (1 << width) - 1
+            flip = 0 if target else window
+            members = self.members(mask)
+
+            def at_target(m: int) -> int:  # the shifts where m equals target
+                return flip ^ reduce(and_, [self.sig(m, u, width) for u in members], window)
+
+            hit = at_target(b)
+            if a is not None:
+                ok = at_target(a)  # shifts 0..z qualify, z its lowest zero bit
+                hit &= (((ok + 1) & ~ok) << 1) - 1
+            return (hit != 0) == target
         shifted = earlier = mask
         checked = 0  # a == target at shifts 0..checked-1
         blocked = False  # a != target at shift `checked`
@@ -425,13 +499,12 @@ class _SyncEngine(_Engine):
 
 
 class _AsyncEngine(_Engine):
-    def __init__(self, team, f, atoms, limits, mode, flat_subformulas: bool):
-        super().__init__(team, f, atoms, limits, mode)
+    def __init__(self, team, f, atoms, limits, mode, closed, flat_subformulas: bool):
+        super().__init__(team, f, atoms, limits, mode, closed)
         if flat_subformulas:
             # flatness: pure LTL holds on a team iff on every trace
             self.shortcut = list(self.nodes.pure)
         self._orbit_memo: list[dict[int, bool]] = [{} for _ in range(len(self.nodes))]
-        self._orbits: dict[int, list[int]] = {}
         # Phase-blind team keys.  F and G quantify over all shift vectors,
         # so their value on a team is unchanged when members are replaced
         # by other suffixes of themselves; memoising on the multiset of
@@ -449,16 +522,6 @@ class _AsyncEngine(_Engine):
             for v in cycle:
                 self._orbit_unit[v] = 1 << offset
             offset += len(cycle).bit_length()
-
-    def orbit(self, u: int) -> list[int]:
-        """Ids of trace u's |prefix| + |loop| suffixes, by shift."""
-        got = self._orbits.get(u)
-        if got is None:
-            got = [u]
-            for _ in range(self.prefix_len[u] + self.loop_len[u] - 1):
-                got.append(self.succ[got[-1]])
-            self._orbits[u] = got
-        return got
 
     def orbit_key(self, members: list[int]) -> int:
         return sum(map(self._orbit_unit.__getitem__, members))
@@ -539,8 +602,8 @@ def check_sync(
     split_mode: SplitMode | None = None,
 ) -> bool:
     """Does the team satisfy f under synchronous semantics?"""
-    _, mode, limits = _prepare(f, atoms, limits, split_mode)
-    engine = _SyncEngine(team, f, atoms, limits, mode)
+    info, mode, limits = _prepare(f, atoms, limits, split_mode)
+    engine = _SyncEngine(team, f, atoms, limits, mode, info.downward_closed_syntactic)
     return engine.eval(engine.team, engine.nodes.root)
 
 
@@ -560,7 +623,9 @@ def check_async(
     info, mode, limits = _prepare(f, atoms, limits, split_mode)
     if info.pure_ltl:
         return all(check_trace(t, f) for t in team)
-    engine = _AsyncEngine(team, f, atoms, limits, mode, flat_subformulas=True)
+    engine = _AsyncEngine(
+        team, f, atoms, limits, mode, info.downward_closed_syntactic, flat_subformulas=True
+    )
     return engine.eval(engine.team, engine.nodes.root)
 
 
@@ -578,6 +643,8 @@ def check_async_general(
     through the literal vector clauses (slower; used to cross-check the
     flatness shortcut).
     """
-    _, mode, limits = _prepare(f, atoms, limits, split_mode)
-    engine = _AsyncEngine(team, f, atoms, limits, mode, flat_subformulas=flat_subformulas)
+    info, mode, limits = _prepare(f, atoms, limits, split_mode)
+    engine = _AsyncEngine(
+        team, f, atoms, limits, mode, info.downward_closed_syntactic, flat_subformulas
+    )
     return engine.eval(engine.team, engine.nodes.root)

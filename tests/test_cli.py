@@ -248,6 +248,31 @@ def test_sat_deeply_nested_formula_is_input_error(run, tmp_path):
     assert (code, out) == (2, "ERROR formula nested too deep\n")
 
 
+def test_thousand_term_conjunction_gets_a_verdict(tmp_path):
+    # a left-deep chain 1,000 terms long: every pass over it is iterative
+    chain = tmp_path / "chain.ltl"
+    chain.write_text(" & ".join(f"p{i}" for i in range(1000)) + "\n")
+    team = tmp_path / "team.txt"
+    team.write_text(EXAMPLE_TEAM)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    commands = [
+        ["sat", "--semantics", "sync", "--formula", str(chain)],
+        ["check-path", "--semantics", "sync", "--formula", str(chain), "--team", str(team)],
+        ["check-path", "--semantics", "async", "--formula", str(chain), "--team", str(team)],
+    ]
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "teamltl.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode in (0, 1), (argv, done.stdout + done.stderr)
+        assert done.stdout.split()[0] in ("SAT", "HOLDS", "FAILS"), done.stdout
+
+
 def test_sat_rejects_contradictory_negation(run):
     code, out = run("sat", "--semantics", "sync", "--formula", "~p")
     assert code == 3 and out.startswith("UNSUPPORTED")

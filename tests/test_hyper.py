@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +305,18 @@ def test_joint_lasso_fixpoints_on_coprime_loops(body):
             assert verdict == oracle_hyper(team, s), (render_hyper(s), team)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_long_coprime_loops_in_linear_time():
+    # p only at position 0 of loops 89, 97 and 101: a pair's joint lasso
+    # has up to 9,797 positions, and a verdict reads each of them
+    team = Team(UPTrace((), (fs({"p"}),) + (fs(),) * (n - 1)) for n in (89, 97, 101))
+    start = time.perf_counter()
+    assert check_hyper(team, parse_hyper("A x. A y. F (p@x & p@y)")) is True
+    assert check_hyper(team, parse_hyper("A x. A y. G F (p@x & p@y)")) is True
+    assert check_hyper(team, parse_hyper("A x. A y. F (p@x & !p@y)")) is False
+    assert check_hyper(team, parse_hyper("E x. E y. F (p@x & X p@y)")) is True
+    assert time.perf_counter() - start < 10.0
 
 
 # ---------------------------------------------------------------------------

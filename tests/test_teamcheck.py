@@ -1,6 +1,8 @@
 """Team path checking: synchronous, asynchronous, atoms, splits, budgets."""
 
 import random
+import time
+from functools import reduce
 from itertools import chain, combinations
 
 import pytest
@@ -9,7 +11,19 @@ from hypothesis import strategies as st
 
 from teamltl.classical import check_trace, trace_values
 from teamltl.errors import BoundExceeded, DuplicateName, UnknownAtom, VectorSpaceExceeded
-from teamltl.formula import Next, Release, Split, Until, parse_formula
+from teamltl.formula import (
+    And,
+    DepAtom,
+    Eventually,
+    Globally,
+    NegativeLiteral,
+    Next,
+    PositiveLiteral,
+    Release,
+    Split,
+    Until,
+    parse_formula,
+)
 from teamltl.teamcheck import (
     AtomRegistry,
     GenAtomDef,
@@ -38,6 +52,7 @@ from .util import (
     letters,
     nonempty_teams,
     oracle_trace,
+    prop_names,
     random_formula,
     random_team,
     teams,
@@ -321,6 +336,121 @@ def test_async_kernel_on_shared_orbits(team, f):
 def test_kernels_on_coprime_loops(team, f):
     assert check_sync(team, f) == naive_sync(team, f, SplitMode.DISJOINT_ONLY)
     assert check_async(team, f) == check_async_general(team, f, flat_subformulas=False)
+
+
+# ---------------------------------------------------------------------------
+# lockstep signatures and flat-part absorption
+
+
+def flat_formulas(max_leaves: int = 3):
+    """Literals under `&` and `X`: shortcut nodes with no split."""
+    literal = st.one_of(prop_names().map(PositiveLiteral), prop_names().map(NegativeLiteral))
+    return st.recursive(
+        literal,
+        lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Next, sub)),
+        max_leaves=max_leaves,
+    )
+
+
+def lockstep_formulas():
+    """Split-free F/G/U/R over flat operands, nested under `&` and `|`."""
+    flat = flat_formulas()
+    temporal = st.one_of(
+        st.builds(Eventually, flat),
+        st.builds(Globally, flat),
+        st.builds(Until, flat, flat),
+        st.builds(Release, flat, flat),
+    )
+    return st.recursive(
+        temporal,
+        lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Split, sub, sub)),
+        max_leaves=3,
+    )
+
+
+@st.composite
+def prefixed_coprime_teams(draw):
+    """Prefixes up to 2 and loops of pairwise coprime lengths among 2, 3,
+    5, 7 (lcm up to 210, so signatures are wider than a machine word)."""
+    loops = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=4, unique=True))
+    return Team(
+        UPTrace(
+            tuple(draw(st.lists(letters(), max_size=2))),
+            tuple(draw(st.lists(letters(), min_size=n, max_size=n))),
+        )
+        for n in loops
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefixed_coprime_teams(), lockstep_formulas())
+def test_lockstep_signatures_match_naive(team, f):
+    assert check_sync(team, f) == naive_sync(team, f, SplitMode.DISJOINT_ONLY)
+
+
+def test_lockstep_until_release_at_the_first_failure():
+    # p holds on both members at shifts 0 and 1 only, q on both at shift 2
+    # only: `a U b` may take b exactly where a first fails, and `a R b`
+    # is released by a holding at the shift before b fails
+    team = team_of("{p} {p} {q} ; {} {}", "{p} {p,r} {q} ; {} {} {}")
+    assert check_sync(team, parse_formula("p U q")) is True
+    assert check_sync(team, parse_formula("p U X X X q")) is False
+    assert check_sync(team, parse_formula("!q R !p")) is False
+    assert check_sync(team, parse_formula("q R (p | q)")) is True
+    assert check_sync(team, parse_formula("X X q R X !q")) is True
+
+
+def test_lockstep_lcm_cap_still_raises():
+    team = Team(UPTrace((), (frozenset({"p"}),) + (E,) * (n - 1)) for n in (2, 3, 5, 7))
+    with pytest.raises(BoundExceeded, match=r"^loop lcm exceeds the cap of 209$"):
+        check_sync(team, parse_formula("F (p & X p)"), limits=Limits(max_lcm=209))
+    assert check_sync(team, parse_formula("F (p & X !p)"), limits=Limits(max_lcm=210))
+
+
+def test_lockstep_failing_eventually_on_long_loops():
+    # loops 9, 11, 13, 16 (lcm 20,592) with p off at every third position:
+    # no member has p three times in a row, so every shift is looked at
+    team = Team(
+        UPTrace((), tuple(frozenset({"p"}) if j % 3 else E for j in range(n)))
+        for n in (9, 11, 13, 16)
+    )
+    start = time.perf_counter()
+    assert check_sync(team, parse_formula("F (p & X p & X X p)")) is False
+    assert time.perf_counter() - start < 1.0
+    # all members stand at their position 1 at one shift (Chinese remainders)
+    assert check_sync(team, parse_formula("F (p & X p)")) is True
+
+
+def mixed_splits():
+    """Splits whose parts mix flat formulas with temporal or dependence ones."""
+    flat = flat_formulas()
+    other = [
+        st.builds(
+            DepAtom, st.lists(prop_names(), max_size=1).map(tuple), prop_names().map(lambda p: (p,))
+        ),
+        st.builds(Eventually, flat),
+        st.builds(Globally, flat),
+        st.builds(Until, flat, flat),
+    ]
+    part = st.one_of(flat, *other)
+    return st.lists(part, min_size=2, max_size=4).map(lambda parts: reduce(Split, parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(teams(max_size=4, max_prefix=2, max_loop=2), mixed_splits())
+def test_flat_part_absorption_sync_matches_naive(team, f):
+    assert check_sync(team, f) == naive_sync(team, f, SplitMode.DISJOINT_ONLY)
+    assert check_sync(team, f) == check_sync(team, f, split_mode=SplitMode.ALL_COVERS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(teams(max_size=4, max_prefix=2, max_loop=2), mixed_splits(), st.booleans())
+def test_flat_part_absorption_async_matches_vector_clauses(team, f, conjoin):
+    if conjoin:
+        f = And(f, DepAtom((), ("p",)))  # keeps the formula out of the pure fast path
+    expected = check_async_general(team, f, flat_subformulas=False)
+    assert check_async(team, f) == expected
+    assert check_async(team, f, split_mode=SplitMode.ALL_COVERS) == expected
 
 
 @settings(max_examples=200)
