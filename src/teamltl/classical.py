@@ -9,8 +9,8 @@ eventuality (Until / Eventually subformula), advanced whenever the
 pending eventuality is fulfilled or dropped, in the usual chained
 degeneralisation.  The tableau works on the formula's hash-consed node
 ids: an obligation set is an int bitmask over the nodes ranked in
-preorder, and only the finished automaton names its states by
-frozensets of subformulas.
+preorder, and the automaton numbers its states 0, 1, ... in the order
+they are built, with 0 the initial state.
 """
 
 from __future__ import annotations
@@ -268,9 +268,10 @@ def check_trace(trace: UPTrace, f: Formula) -> bool:
 class NBA:
     """Buechi automaton whose edges carry literal constraints.
 
-    `states` and `initial` are kept in deterministic construction order;
-    `transitions` maps a state to its ordered ((pos, neg), successor)
-    edges: a letter matches when it contains pos and avoids neg.
+    States are ints numbered in construction order, with 0 the initial
+    state; `transitions` maps a state to its ordered ((pos, neg),
+    successor) edges, pos and neg being frozensets of propositions: a
+    letter matches when it contains pos and avoids neg.
     """
 
     states: tuple
@@ -306,9 +307,16 @@ def _covers(nodes, at_rank, bit, lit, obligations):
     """
     kind, lhs, rhs = nodes.kind, nodes.lhs, nodes.rhs
     results: dict = {}  # an ordered set of covers
-
-    def go(pending, pos, neg, nxt, fulfilled, done):
-        while pending is not None:  # a linked list (node, rest)
+    pending = None  # a linked list (node, rest)
+    for r in reversed(range(obligations.bit_length())):
+        if obligations >> r & 1:
+            pending = (at_rank[r], pending)
+    # open branches; a branch point pushes its second branch and goes on
+    # with its first, so covers come out in depth-first order
+    stack = [(pending, 0, 0, 0, 0, 0)]
+    while stack:
+        pending, pos, neg, nxt, fulfilled, done = stack.pop()
+        while pending is not None:
             g, pending = pending
             if done & bit[g]:
                 continue
@@ -316,43 +324,37 @@ def _covers(nodes, at_rank, bit, lit, obligations):
             k = kind[g]
             if k == _POS:
                 if lit[g] & neg:
-                    return
+                    break
                 pos |= lit[g]
             elif k == _NEG:
                 if lit[g] & pos:
-                    return
+                    break
                 neg |= lit[g]
             elif k == _AND:
                 pending = (lhs[g], (rhs[g], pending))
             elif k == _SPLIT:
-                go((lhs[g], pending), pos, neg, nxt, fulfilled, done)
-                pending = (rhs[g], pending)
+                stack.append(((rhs[g], pending), pos, neg, nxt, fulfilled, done))
+                pending = (lhs[g], pending)
             elif k == _NEXT:
                 nxt |= bit[rhs[g]]
             elif k in (_F, _U):  # F b reads as true U b
-                go((rhs[g], pending), pos, neg, nxt, fulfilled | bit[g], done)
-                if k == _U:
-                    pending = (lhs[g], pending)
-                nxt |= bit[g]
+                later = (lhs[g], pending) if k == _U else pending
+                stack.append((later, pos, neg, nxt | bit[g], fulfilled, done))
+                pending = (rhs[g], pending)
+                fulfilled |= bit[g]
             elif k == _G:
                 pending = (rhs[g], pending)
                 nxt |= bit[g]
             elif k == _R:
-                go((rhs[g], (lhs[g], pending)), pos, neg, nxt, fulfilled, done)
-                pending = (rhs[g], pending)
-                nxt |= bit[g]
+                stack.append(((rhs[g], pending), pos, neg, nxt | bit[g], fulfilled, done))
+                pending = (rhs[g], (lhs[g], pending))
             else:
                 raise UnsupportedFragment(
                     "automaton construction needs plain temporal syntax, "
-                    f"got {nodes.formula[g]!r}"
+                    f"got {render_formula(nodes.formula[g])}"
                 )
-        results[pos, neg, nxt, fulfilled] = None
-
-    pending = None
-    for r in reversed(range(obligations.bit_length())):
-        if obligations >> r & 1:
-            pending = (at_rank[r], pending)
-    go(pending, 0, 0, 0, 0, 0)
+        else:  # no contradiction on this branch
+            results[pos, neg, nxt, fulfilled] = None
     return list(results)
 
 
@@ -366,8 +368,7 @@ def ltl_to_nba(f: Formula) -> NBA:
     G h pushes h again and `_covers` expands each node once per branch,
     so the states with and without h have the same covers.
     The tableau runs on f's hash-consed nodes, ranked in preorder, over
-    states (obligation mask, counter); the automaton's states (frozenset
-    of subformulas, counter) are built once, at the end.
+    pairs (obligation mask, counter), each numbered when first reached.
     """
     nodes = _Nodes(f)
     at_rank: list[int] = []
@@ -384,13 +385,10 @@ def ltl_to_nba(f: Formula) -> NBA:
         1 << prop.setdefault(g.name, len(prop)) if kind in (_POS, _NEG) else 0
         for g, kind in zip(nodes.formula, nodes.kind)
     ]
-    names, formulas = list(prop), [nodes.formula[n] for n in at_rank]
+    names = list(prop)
     ev_bits = [bit[n] for n in at_rank if nodes.kind[n] in (_F, _U)]
     ev_mask, k = sum(ev_bits), len(ev_bits)
     absorbs = [(bit[n], bit[nodes.rhs[n]]) for n in at_rank if nodes.kind[n] == _G]
-
-    def named(mask, universe):
-        return frozenset(universe[r] for r in range(mask.bit_length()) if mask >> r & 1)
 
     cover_cache: dict = {}
     labels: dict = {}  # (pos, neg) masks -> edge label
@@ -403,7 +401,10 @@ def ltl_to_nba(f: Formula) -> NBA:
             covers = cover_cache[obligations] = []
             for pos, neg, nxt, fulfilled in _covers(nodes, at_rank, bit, lit, obligations):
                 if (pos, neg) not in labels:
-                    labels[pos, neg] = (named(pos, names), named(neg, names))
+                    labels[pos, neg] = tuple(
+                        frozenset(p for i, p in enumerate(names) if mask >> i & 1)
+                        for mask in (pos, neg)
+                    )
                 # eventualities fulfilled here or no longer pending
                 good = (fulfilled | ~nxt) & ev_mask
                 # G h re-creates h when expanded, so h need not be kept
@@ -419,18 +420,13 @@ def ltl_to_nba(f: Formula) -> NBA:
             if j == len(states):
                 states.append((nxt, advanced))
             edges.append((label, j))
-        edges_of.append(edges)
+        edges_of.append(tuple(edges))
 
-    sets = {mask: named(mask, formulas) for mask in {mask for mask, _ in index}}
-    public = [(sets[mask], counter) for mask, counter in states]
     return NBA(
-        states=tuple(public),
-        initial=(public[0],),
-        accepting=frozenset(s for s in public if s[1] == k),
-        transitions={
-            s: tuple((label, public[j]) for label, j in edges)
-            for s, edges in zip(public, edges_of)
-        },
+        states=tuple(range(len(states))),
+        initial=(0,),
+        accepting=frozenset(i for i, (_, counter) in enumerate(states) if counter == k),
+        transitions=dict(enumerate(edges_of)),
     )
 
 
@@ -457,7 +453,7 @@ def nba_accepts(nba: NBA, trace: UPTrace) -> bool:
     # boundary graph: s --flag--> q when one loop unwinding leads s to q,
     # flag recording an accepting visit strictly inside or at the end
     edges: dict = {}
-    pending = sorted(current, key=repr)
+    pending = sorted(current)
     explored = set(current)
     while pending:
         s = pending.pop()
@@ -471,7 +467,7 @@ def nba_accepts(nba: NBA, trace: UPTrace) -> bool:
         best: dict = {}
         for (q, flag) in frontier:
             best[q] = best.get(q, False) or flag
-        edges[s] = sorted(best.items(), key=repr)
+        edges[s] = sorted(best.items())
         for q in best:
             if q not in explored:
                 explored.add(q)

@@ -1,8 +1,9 @@
 """Command-line interface over all verification and reduction pipelines.
 
 Exit codes: 0 the property holds / the formula is satisfiable; 1 it
-fails / is unsatisfiable; 2 usage or input error; 3 unsupported fragment
-or open problem; 4 an evaluation budget ran out.  Verdict lines go to
+fails / is unsatisfiable; 2 usage or input error, or a standard output
+whose reader went away; 3 unsupported fragment or open problem; 4 an
+evaluation budget ran out.  Verdict lines go to
 standard output and start with one of HOLDS, FAILS, SAT, UNSAT,
 UNSUPPORTED, ERROR; conversion commands (reduce, hyper to-hyper /
 from-hyper) print their artifact instead.
@@ -16,6 +17,8 @@ by the CLI.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from pathlib import Path
 
 from .classical import tsat
@@ -275,19 +278,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.func(args)
-    except BoundExceeded as e:
-        print(f"ERROR budget exhausted: {e}")
-        return 4
-    except (UnsupportedFragment, NotForallFragment) as e:
-        print(f"UNSUPPORTED {e}")
-        return 3
-    except (TeamLTLError, OSError) as e:
-        print(f"ERROR {e}")
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise  # not an input error: handled below
+        except BoundExceeded as e:
+            print(f"ERROR budget exhausted: {e}")
+            code = 4
+        except (UnsupportedFragment, NotForallFragment) as e:
+            print(f"UNSUPPORTED {e}")
+            code = 3
+        except (TeamLTLError, OSError) as e:
+            print(f"ERROR {e}")
+            code = 2
+        except RecursionError:
+            print("ERROR formula nested too deep")
+            code = 2
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+    except BrokenPipeError:
+        # nothing more can be reported; the interpreter's last flush of
+        # standard output goes to the null device instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except RecursionError:
-        print("ERROR formula nested too deep")
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -117,34 +117,16 @@ class GenAtom(Formula):
 _CONNECTIVES = (And, Split, Next, Eventually, Globally, Until, Release, ContradictoryNeg)
 
 
-def _chain_hash(self) -> int:
-    """The dataclass hash, hash((lhs, rhs)), cached on each `&` and `|` node.
-
-    A chain's nodes are hashed operands first, so a long conjunction is
-    hashed without deep recursion; other connectives keep the recursive
-    dataclass hash, and with it Python's limit on their nesting depth.
-    """
-    if "_hash" not in self.__dict__:
-        order, stack = [], [self]
-        while stack:
-            g = stack.pop()
-            if type(g) in _CHAINED and "_hash" not in g.__dict__:
-                order.append(g)
-                stack += [g.lhs, g.rhs]
-        for g in reversed(order):
-            object.__setattr__(g, "_hash", hash((g.lhs, g.rhs)))
-    return self._hash
-
-
-def _uncached_state(self) -> dict:
-    # string hashes differ between processes, so a pickle leaves the cache out
-    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-
-_CHAINED = (And, Split)
-for _cls in _CHAINED:
-    _cls.__hash__ = _chain_hash
-    _cls.__getstate__ = _uncached_state
+# connective -> its dual under classical negation; X is self-dual
+_DUAL = {
+    And: Split,
+    Split: And,
+    Next: Next,
+    Eventually: Globally,
+    Globally: Eventually,
+    Until: Release,
+    Release: Until,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +406,6 @@ def render_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # structural helpers
 
-def formula_length(f: Formula) -> int:
-    """Number of connective nodes; literals and atoms count zero."""
-    match f:
-        case And(lhs, rhs) | Split(lhs, rhs) | Until(lhs, rhs) | Release(lhs, rhs):
-            return 1 + formula_length(lhs) + formula_length(rhs)
-        case Next(sub) | Eventually(sub) | Globally(sub) | ContradictoryNeg(sub):
-            return 1 + formula_length(sub)
-        case _:
-            return 0
-
-
 def _operands(g) -> tuple:
     """The operands of a formula or hyper body node, left to right."""
     if hasattr(g, "sub"):
@@ -479,6 +450,11 @@ def _rebuild(f, step, ctx=None):
     return values[0]
 
 
+def formula_length(f: Formula) -> int:
+    """Number of connective nodes; literals and atoms count zero."""
+    return sum(type(g) in _CONNECTIVES for g in _preorder(f))
+
+
 def props(f: Formula) -> frozenset[Proposition]:
     """All proposition names occurring in f, including atom arguments."""
     out: set[Proposition] = set()
@@ -496,27 +472,18 @@ def props(f: Formula) -> frozenset[Proposition]:
 
 def dualize(f: Formula) -> Formula:
     """Syntactic dual of a pure-LTL formula; satisfies t |= dual(f) iff t |/= f."""
-    match f:
-        case PositiveLiteral(name):
-            return NegativeLiteral(name)
-        case NegativeLiteral(name):
-            return PositiveLiteral(name)
-        case And(lhs, rhs):
-            return Split(dualize(lhs), dualize(rhs))
-        case Split(lhs, rhs):
-            return And(dualize(lhs), dualize(rhs))
-        case Next(sub):
-            return Next(dualize(sub))
-        case Eventually(sub):
-            return Globally(dualize(sub))
-        case Globally(sub):
-            return Eventually(dualize(sub))
-        case Until(lhs, rhs):
-            return Release(dualize(lhs), dualize(rhs))
-        case Release(lhs, rhs):
-            return Until(dualize(lhs), dualize(rhs))
-        case _:
+
+    def step(g: Formula, _):
+        cls = type(g)
+        if cls is PositiveLiteral:
+            return NegativeLiteral(g.name), ()
+        if cls is NegativeLiteral:
+            return PositiveLiteral(g.name), ()
+        if cls not in _DUAL:
             raise UnsupportedFragment("dualize is defined for pure LTL only")
+        return _DUAL[cls], [(h, None) for h in _operands(g)]
+
+    return _rebuild(f, step)
 
 
 def bar_transform(f: Formula) -> Formula:
@@ -527,35 +494,22 @@ def bar_transform(f: Formula) -> Formula:
     """
     present = props(f)
 
-    def walk(g: Formula) -> Formula:
-        match g:
-            case PositiveLiteral(_):
-                return g
-            case NegativeLiteral(name):
-                bar = name + "_bar"
-                if bar in present:
-                    raise NameCollision(f"proposition {bar!r} already occurs in the formula")
-                return PositiveLiteral(bar)
-            case And(lhs, rhs):
-                return And(walk(lhs), walk(rhs))
-            case Next(sub):
-                return Next(walk(sub))
-            case Eventually(sub):
-                return Eventually(walk(sub))
-            case Globally(sub):
-                return Globally(walk(sub))
-            case Until(lhs, rhs):
-                return Until(walk(lhs), walk(rhs))
-            case Release(lhs, rhs):
-                return Release(walk(lhs), walk(rhs))
-            case ContradictoryNeg(sub):
-                return ContradictoryNeg(walk(sub))
-            case Split(_, _):
-                raise UnsupportedFragment("bar transform requires a splitjunction-free formula")
-            case _:
-                raise UnsupportedFragment("bar transform does not accept dependence or generalised atoms")
+    def step(g: Formula, _):
+        cls = type(g)
+        if cls is PositiveLiteral:
+            return g, ()
+        if cls is NegativeLiteral:
+            bar = g.name + "_bar"
+            if bar in present:
+                raise NameCollision(f"proposition {bar!r} already occurs in the formula")
+            return PositiveLiteral(bar), ()
+        if cls is Split:
+            raise UnsupportedFragment("bar transform requires a splitjunction-free formula")
+        if cls not in _CONNECTIVES:
+            raise UnsupportedFragment("bar transform does not accept dependence or generalised atoms")
+        return cls, [(h, None) for h in _operands(g)]
 
-    return walk(f)
+    return _rebuild(f, step)
 
 
 @dataclass(frozen=True)

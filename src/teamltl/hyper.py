@@ -58,6 +58,7 @@ from .formula import (
     Release,
     Split,
     Until,
+    _DUAL,
     _operands,
     _preorder,
     _rebuild,
@@ -67,6 +68,7 @@ from .formula import (
     _LEVEL_UNTILREL,
     _Parser,
     _render,
+    render_formula,
 )
 from .traces import Team, UPTrace, serialize_trace
 
@@ -154,18 +156,19 @@ class HRelease(HyperBody):
     rhs: HyperBody
 
 
-# body connective -> the formula connective it becomes, plain and negated
+# body connective -> the formula connective it becomes; under a negation
+# it becomes that connective's dual
 _NNF = {
-    HAnd: (And, Split),
-    HOr: (Split, And),
-    HNext: (Next, Next),
-    HEventually: (Eventually, Globally),
-    HGlobally: (Globally, Eventually),
-    HUntil: (Until, Release),
-    HRelease: (Release, Until),
+    HAnd: And,
+    HOr: Split,
+    HNext: Next,
+    HEventually: Eventually,
+    HGlobally: Globally,
+    HUntil: Until,
+    HRelease: Release,
 }
 _CONNECTIVES = (HNot, *_NNF)
-_TO_HYPER = {plain: cls for cls, (plain, _) in _NNF.items()}
+_TO_HYPER = {plain: cls for cls, plain in _NNF.items()}
 
 
 def free_trace_variables(body: HyperBody) -> frozenset[str]:
@@ -340,7 +343,7 @@ def ltl_to_forall_hyper(f: Formula, trace_var: str = "pi") -> HyperSentence:
                 return HNot(HAtom(name, trace_var)), ()
             case ContradictoryNeg(_) | DepAtom(_, _) | GenAtom(_, _):
                 raise UnsupportedFragment(
-                    f"only pure LTL translates to a universal sentence: {g!r}"
+                    f"only pure LTL translates to a universal sentence: {render_formula(g)}"
                 )
         node = _TO_HYPER.get(type(g))
         if node is None:
@@ -384,6 +387,7 @@ def _nnf(body: HyperBody, atom) -> Formula:
             return (lambda g: g), [(b.sub, not negated)]
         if cls not in _NNF:
             raise TypeError(f"not a hyper body node: {b!r}")
-        return _NNF[cls][negated], [(h, negated) for h in _operands(b)]
+        plain = _NNF[cls]
+        return _DUAL[plain] if negated else plain, [(h, negated) for h in _operands(b)]
 
     return _rebuild(body, step, False)

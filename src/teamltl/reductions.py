@@ -56,7 +56,11 @@ from .formula import (
     Release,
     Split,
     Until,
+    _operands,
+    _preorder,
+    _rebuild,
     props,
+    render_formula,
 )
 from .kripke import KripkeStructure
 from .teamcheck import eval_dep_atom
@@ -369,32 +373,49 @@ def reduce_qbf_async_dep(q: QBFInstance) -> tuple[Team, Formula]:
 
 
 def _require_propositional(f: Formula, allow_neg: bool, allow_dep: bool) -> None:
-    match f:
-        case PositiveLiteral(_) | NegativeLiteral(_):
-            return
-        case DepAtom(_, _):
-            if not allow_dep:
+    for g in _preorder(f):
+        match g:
+            case PositiveLiteral(_) | NegativeLiteral(_) | And(_, _) | Split(_, _):
+                pass
+            case DepAtom(_, _):
+                if not allow_dep:
+                    raise UnsupportedFragment(
+                        "dependence atoms are not supported by this pipeline"
+                    )
+            case GenAtom(_, _):
                 raise UnsupportedFragment(
-                    "dependence atoms are not supported by this pipeline"
+                    "generalised atoms are not supported by this pipeline"
                 )
-            return
-        case GenAtom(_, _):
-            raise UnsupportedFragment(
-                "generalised atoms are not supported by this pipeline"
-            )
-        case ContradictoryNeg(sub):
-            if not allow_neg:
-                raise UnsupportedFragment(
-                    "contradictory negation is not supported by this pipeline"
+            case ContradictoryNeg(_):
+                if not allow_neg:
+                    raise UnsupportedFragment(
+                        "contradictory negation is not supported by this pipeline"
+                    )
+            case Next(_) | Eventually(_) | Globally(_) | Until(_, _) | Release(_, _):
+                raise NonPropositional(
+                    f"temporal operator in propositional input: {render_formula(g)}"
                 )
-            _require_propositional(sub, allow_neg, allow_dep)
-        case And(lhs, rhs) | Split(lhs, rhs):
-            _require_propositional(lhs, allow_neg, allow_dep)
-            _require_propositional(rhs, allow_neg, allow_dep)
-        case Next(_) | Eventually(_) | Globally(_) | Until(_, _) | Release(_, _):
-            raise NonPropositional(f"temporal operator in propositional input: {f!r}")
-        case _:
-            raise TypeError(f"not a formula node: {f!r}")
+            case _:
+                raise TypeError(f"not a formula node: {g!r}")
+
+
+def _star(phi: Formula, dep=None) -> Formula:
+    """phi over the assignment layers: v / !v read as "eventually v" /
+    "eventually v_bar", and each dependence atom rewritten by `dep`."""
+
+    def step(g: Formula, _):
+        match g:
+            case PositiveLiteral(v):
+                return Eventually(PositiveLiteral(v)), ()
+            case NegativeLiteral(v):
+                return Eventually(PositiveLiteral(v + "_bar")), ()
+            case DepAtom(_, _):
+                return dep(g), ()
+            case ContradictoryNeg(_) | And(_, _) | Split(_, _):
+                return type(g), [(h, None) for h in _operands(g)]
+        raise AssertionError(f"unreachable: {g!r}")
+
+    return _rebuild(phi, step)
 
 
 def _assignment_layer_structure(variables: tuple[str, ...]) -> KripkeStructure:
@@ -436,24 +457,10 @@ def reduce_plneg_sat_to_tmc(phi: Formula) -> tuple[KripkeStructure, Formula]:
     variables = tuple(sorted(props(phi)))
     k = _assignment_layer_structure(variables)
 
-    def star(f: Formula) -> Formula:
-        match f:
-            case PositiveLiteral(v):
-                return Eventually(PositiveLiteral(v))
-            case NegativeLiteral(v):
-                return Eventually(PositiveLiteral(v + "_bar"))
-            case ContradictoryNeg(sub):
-                return ContradictoryNeg(star(sub))
-            case And(lhs, rhs):
-                return And(star(lhs), star(rhs))
-            case Split(lhs, rhs):
-                return Split(star(lhs), star(rhs))
-        raise AssertionError(f"unreachable: {f!r}")
-
     v1 = variables[0]
     always = Split(PositiveLiteral(v1), NegativeLiteral(v1))
     never = And(PositiveLiteral(v1), NegativeLiteral(v1))
-    wrapped = Split(always, And(ContradictoryNeg(never), star(phi)))
+    wrapped = Split(always, And(ContradictoryNeg(never), _star(phi)))
     return k, wrapped
 
 
@@ -490,21 +497,10 @@ def reduce_pldep_val_to_tmc(phi: Formula) -> tuple[KripkeStructure, Formula]:
             parts.append(And(reduce(And, pins), constancy))
         return reduce(Split, parts)
 
-    def star(f: Formula) -> Formula:
-        match f:
-            case PositiveLiteral(v):
-                return Eventually(PositiveLiteral(v))
-            case NegativeLiteral(v):
-                return Eventually(PositiveLiteral(v + "_bar"))
-            case DepAtom(determinants, determined):
-                return reduce(And, [dep_piece(determinants, b) for b in determined])
-            case And(lhs, rhs):
-                return And(star(lhs), star(rhs))
-            case Split(lhs, rhs):
-                return Split(star(lhs), star(rhs))
-        raise AssertionError(f"unreachable: {f!r}")
+    def dep(g: DepAtom) -> Formula:
+        return reduce(And, [dep_piece(g.determinants, b) for b in g.determined])
 
-    return k, star(phi)
+    return k, _star(phi, dep)
 
 
 # ---------------------------------------------------------------------------

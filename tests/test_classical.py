@@ -152,9 +152,12 @@ def test_nba_edges_are_literal_constraints():
     nba = ltl_to_nba(parse_formula("p & q & r"))
     edges = [e for state in nba.states for e in nba.transitions[state]]
     # one edge per cover, not one per letter over the free propositions
+    # states are ints in construction order: 0 is the initial state and
+    # 1 the one with nothing left to do
+    assert nba.states == (0, 1) and nba.initial == (0,)
     assert edges == [
-        ((frozenset("pqr"), E), (E, 0)),
-        ((E, E), (E, 0)),
+        ((frozenset("pqr"), E), 1),
+        ((E, E), 1),
     ]
 
 
@@ -187,23 +190,20 @@ def test_nba_agrees_with_oracle_trace_bulk():
     assert sat_count > 100
 
 
-# prints each formula's automaton (states in construction order, edges in
-# order, obligation sets sorted by rendering) and its tsat witness
+# prints each formula's whole automaton (its int states, accepting
+# states and edges in order) and its tsat witness
 _CANONICAL_NBA = """
 import sys
 from teamltl.classical import ltl_to_nba, tsat
-from teamltl.formula import parse_formula, render_formula
+from teamltl.formula import parse_formula
 from teamltl.traces import serialize_trace
-
-def state(s):
-    return sorted(map(render_formula, s[0])), s[1]
 
 for text in sys.argv[1:]:
     f = parse_formula(text)
     nba = ltl_to_nba(f)
-    print([state(s) for s in nba.states])
+    print(nba.states, nba.initial, sorted(nba.accepting))
     for s in nba.states:
-        print([(sorted(pos), sorted(neg), state(t)) for (pos, neg), t in nba.transitions[s]])
+        print([(sorted(pos), sorted(neg), t) for (pos, neg), t in nba.transitions[s]])
     print(serialize_trace(tsat(f, "sync")))
 """
 

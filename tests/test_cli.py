@@ -31,6 +31,22 @@ def run(capsys):
     return go
 
 
+def _cli(*argv, env=None, **popen):
+    """The CLI as a separate process, run from this checkout's sources."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.Popen([sys.executable, "-m", "teamltl.cli", *argv], env=env, **popen)
+
+
+def _cli_run(*argv):
+    with _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err
+
+
 @pytest.fixture()
 def team_file(tmp_path):
     path = tmp_path / "team.txt"
@@ -226,51 +242,58 @@ def test_sat_long_inline_formula(run):
 def test_sat_many_fairness_constraints_in_seconds():
     # G F p0 & ... & G F p9: the tableau has n + 2 states, not about 3^n
     formula = " & ".join(f"G F p{i}" for i in range(10))
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
-    done = subprocess.run(
-        [sys.executable, "-m", "teamltl.cli", "sat", "--semantics", "sync", "--formula", formula],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
-    verdict, witness = done.stdout.splitlines()
+    code, out, err = _cli_run("sat", "--semantics", "sync", "--formula", formula)
+    assert code == 0, out + err
+    verdict, witness = out.splitlines()
     assert verdict == "SAT"
     assert oracle_trace(parse_trace_line(witness), parse_formula(formula))
 
 
 def test_sat_deeply_nested_formula_is_input_error(run, tmp_path):
+    # 3,000 nested X are more than the recursive-descent parser can take
     deep = tmp_path / "deep.ltl"
-    deep.write_text("X " * 600 + "!q\n")
+    deep.write_text("X " * 3000 + "!q\n")
     code, out = run("sat", "--semantics", "sync", "--formula", str(deep))
     assert (code, out) == (2, "ERROR formula nested too deep\n")
 
 
 def test_thousand_term_conjunction_gets_a_verdict(tmp_path):
-    # a left-deep chain 1,000 terms long: every pass over it is iterative
-    chain = tmp_path / "chain.ltl"
-    chain.write_text(" & ".join(f"p{i}" for i in range(1000)) + "\n")
-    team = tmp_path / "team.txt"
-    team.write_text(EXAMPLE_TEAM)
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
+    # chains 1,000 terms long and X nested 600 deep: every pass over a
+    # formula after parsing is iterative
+    files = {
+        "and.ltl": " & ".join(f"p{i}" for i in range(1000)),
+        "or.ltl": " | ".join(f"p{i}" for i in range(1000)),
+        "deep.ltl": "X " * 600 + "!q",
+        "team.txt": EXAMPLE_TEAM,
+        "k.txt": "world w0 { p0 }\nedge w0 w0\ninit w0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    chain, team, kripke = (str(tmp_path / name) for name in ("and.ltl", "team.txt", "k.txt"))
     commands = [
-        ["sat", "--semantics", "sync", "--formula", str(chain)],
-        ["check-path", "--semantics", "sync", "--formula", str(chain), "--team", str(team)],
-        ["check-path", "--semantics", "async", "--formula", str(chain), "--team", str(team)],
+        ["sat", "--semantics", "sync", "--formula", chain],
+        ["check-path", "--semantics", "sync", "--formula", chain, "--team", team],
+        ["check-path", "--semantics", "async", "--formula", chain, "--team", team],
+        ["check-model", "--semantics", "sync", "--formula", chain, "--kripke", kripke],
+        ["check-model", "--semantics", "async", "--formula", chain, "--kripke", kripke],
+        ["sat", "--semantics", "sync", "--formula", str(tmp_path / "or.ltl")],
+        ["sat", "--semantics", "sync", "--formula", str(tmp_path / "deep.ltl")],
     ]
     for argv in commands:
-        done = subprocess.run(
-            [sys.executable, "-m", "teamltl.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode in (0, 1), (argv, done.stdout + done.stderr)
-        assert done.stdout.split()[0] in ("SAT", "HOLDS", "FAILS"), done.stdout
+        code, out, err = _cli_run(*argv)
+        assert code in (0, 1), (argv, out + err)
+        assert out.split()[0] in ("SAT", "HOLDS", "FAILS"), out
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_is_exit_2_without_traceback(buffered):
+    # the reader of standard output is gone before the verdict prints
+    env = {"PYTHONUNBUFFERED": "" if buffered else "1"}
+    argv = ("sat", "--semantics", "sync", "--formula", "p & !p")
+    with _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (2, "")
 
 
 def test_sat_rejects_contradictory_negation(run):

@@ -1,5 +1,10 @@
 """Parser, renderer and structural helpers for formulas."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -203,6 +208,66 @@ def test_bar_transform():
         bar_transform(parse_formula("p | q"))
     with pytest.raises(UnsupportedFragment):
         bar_transform(parse_formula("dep(p;q)"))
+
+
+def _chain(op, terms):
+    return f" {op} ".join(terms)
+
+
+def test_rewrites_on_long_chains():
+    # every rewrite is an explicit-stack walk, so a chain 1,000 terms
+    # long needs no recursion; results are compared as text, since
+    # dataclass == itself recurses
+    n = 1000
+    negs = [f"!p{i}" for i in range(n)]
+    poss = [f"p{i}" for i in range(n)]
+    bars = [f"p{i}_bar" for i in range(n)]
+    for op, dual in (("&", "|"), ("|", "&"), ("U", "R"), ("R", "U")):
+        f = parse_formula(_chain(op, negs))
+        assert render_formula(dualize(f)) == _chain(dual, poss)
+        assert formula_length(f) == n - 1
+        if op != "|":
+            assert render_formula(bar_transform(f)) == _chain(op, bars)
+    nested = parse_formula("X " * 600 + "F !q")
+    assert render_formula(dualize(nested)) == "X " * 600 + "G q"
+    assert render_formula(bar_transform(nested)) == "X " * 600 + "F q_bar"
+    assert formula_length(nested) == 601
+
+
+# runs the rewrites and the classical and model-checking pipelines on
+# 1,000-term chains under a recursion limit of 200
+_LOW_RECURSION_LIMIT = """
+import sys
+from teamltl.classical import tsat
+from teamltl.formula import bar_transform, dualize, formula_length, parse_formula
+from teamltl.kripke import parse_kripke
+from teamltl.modelcheck import tmc_async, tmc_sync_splitfree
+
+conj = parse_formula(" & ".join(f"p{i}" for i in range(1000)))
+disj = parse_formula(" | ".join(f"p{i}" for i in range(1000)))
+k = parse_kripke("world w { p0 }\\nedge w w\\ninit w\\n")
+sys.setrecursionlimit(200)
+assert tsat(conj, "sync") is not None
+assert tsat(disj, "async") is not None
+assert tmc_async(k, conj)[0] is False
+assert tmc_sync_splitfree(k, conj) is False
+assert type(dualize(conj)).__name__ == "Split"
+assert type(bar_transform(conj)).__name__ == "And"
+assert formula_length(disj) == 999
+print("ok")
+"""
+
+
+def test_chain_pipelines_under_low_recursion_limit():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _LOW_RECURSION_LIMIT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.stdout == "ok\n", done.stderr
 
 
 class _StubAtomDef:

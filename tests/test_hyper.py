@@ -344,6 +344,11 @@ def test_ltl_to_forall_hyper_rejects_team_connectives():
     ):
         with pytest.raises(UnsupportedFragment):
             ltl_to_forall_hyper(f)
+    # the message renders the subformula, which the recursive dataclass
+    # repr cannot do for a chain this long
+    chain = parse_formula("~(" + " & ".join(f"p{i}" for i in range(1000)) + ")")
+    with pytest.raises(UnsupportedFragment, match=r"sentence: ~\(p0 & p1 & "):
+        ltl_to_forall_hyper(chain)
 
 
 def test_forall_hyper_to_ltl_pinned():

@@ -25,6 +25,7 @@ from teamltl.formula import (
     NegativeLiteral,
     PositiveLiteral,
     Split,
+    parse_formula,
 )
 from teamltl.kripke import traces_team_finite, validate_kripke
 from teamltl.reductions import (
@@ -429,6 +430,11 @@ def test_pl_pipelines_reject_temporal_input():
         reduce_plneg_sat_to_tmc(Eventually(P("x")))
     with pytest.raises(NonPropositional):
         reduce_pldep_val_to_tmc(Eventually(P("x")))
+    # the message names the operator in concrete syntax, also on a chain
+    # too long for the recursive dataclass repr
+    chain = parse_formula("X (" + " & ".join(f"p{i}" for i in range(1000)) + ")")
+    with pytest.raises(NonPropositional, match=r"input: X \(p0 & p1 & "):
+        reduce_plneg_sat_to_tmc(chain)
 
 
 def test_pl_pipelines_reject_foreign_fragments():
