@@ -21,8 +21,9 @@ earlier suffix satisfied `a`.  Example: `{p}{q}...` satisfies `p U q` and
 `(p & q) R p` fails on `{p}{}...` because nothing ever releases.
 
 The parser core `_Parser` and the table-driven renderer `_render` are
-shared with the trace-quantified sentences of `hyper`, which swap in
-their own node constructors, `!` rule and atom rule.
+shared with the trace-quantified sentences of `hyper`, whose bodies are
+formulas over these connectives.  That grammar writes `ContradictoryNeg`
+as `!` over any subformula, has no `~`, and has its own atom `p@var`.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ class Release(Formula):
 
 @dataclass(frozen=True)
 class ContradictoryNeg(Formula):
-    """Boolean negation over teams, written `~`."""
+    """Boolean negation over teams, written `~`; in hyper sentences,
+    written `!`, it is classical negation on the one joint trace."""
 
     sub: Formula
 
@@ -197,8 +199,10 @@ class _Parser:
     """Recursive-descent core shared by the formula and sentence grammars.
 
     The `|` and `&` chains, the U/R chains and the prefix operators build
-    their nodes through the class-level constructors below, so a grammar
-    over other node types overrides only those and the rules that differ.
+    their nodes through the class-level constructors below, so another
+    grammar overrides only those and the rules that differ.  `peek(ahead)`
+    looks `ahead` tokens past the current one; a caller looks past a token
+    only when that token is not EOF.
     """
 
     OR, AND, UNTIL, RELEASE = Split, And, Until, Release
@@ -208,8 +212,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0):
+        return self.tokens[self.pos + ahead]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -407,7 +411,7 @@ def render_formula(f: Formula) -> str:
 # structural helpers
 
 def _operands(g) -> tuple:
-    """The operands of a formula or hyper body node, left to right."""
+    """The operands of a formula node, left to right."""
     if hasattr(g, "sub"):
         return (g.sub,)
     if hasattr(g, "rhs"):
@@ -416,8 +420,8 @@ def _operands(g) -> tuple:
 
 
 def _preorder(f):
-    """The nodes of a formula or hyper body, each parent before its
-    operands and left before right, by an explicit-stack walk."""
+    """The nodes of a formula, each parent before its operands and left
+    before right, by an explicit-stack walk."""
     stack = [f]
     while stack:
         g = stack.pop()

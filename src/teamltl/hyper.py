@@ -2,13 +2,12 @@
 
 Sentences are prenex: a quantifier prefix binding trace variables and a
 quantifier-free body whose atoms `p@pi` read proposition p on the trace
-bound to pi.  The body has full classical negation; conjunction and the
-derived temporal operators F, G, R are first-class nodes so that the
-translations and the renderer round-trip structurally.
-
-The body grammar is the plain formula grammar's core (`formula._Parser`
-and the table-driven `formula._render`) over these nodes, with `!`
-negating any subformula and `p@var` as the only atom.
+bound to pi.  The body is a `Formula` over the formula connectives, with
+`HAtom` as its only leaf.  It is read on one joint trace, where
+`ContradictoryNeg` is classical negation and `Split` is disjunction;
+sentences write them `!` (over any subformula) and `|`, and have no `~`.
+The body grammar and renderer are the formula grammar's core
+(`formula._Parser` and `formula._render`) with `p@var` as the only atom.
 
 check_hyper enumerates the quantifiers over the members of a finite team.
 It translates the body once into pure LTL in negation normal form over
@@ -45,7 +44,6 @@ from .errors import (
     UnsupportedFragment,
 )
 from .formula import (
-    And,
     ContradictoryNeg,
     DepAtom,
     Eventually,
@@ -55,17 +53,14 @@ from .formula import (
     NegativeLiteral,
     Next,
     PositiveLiteral,
-    Release,
-    Split,
-    Until,
+    _CONNECTIVES,
     _DUAL,
+    _LEVEL_OR,
+    _LEVEL_UNARY,
+    _OPS,
     _operands,
     _preorder,
     _rebuild,
-    _LEVEL_AND,
-    _LEVEL_OR,
-    _LEVEL_UNARY,
-    _LEVEL_UNTILREL,
     _Parser,
     _render,
     render_formula,
@@ -75,15 +70,6 @@ from .traces import Team, UPTrace, serialize_trace
 __all__ = [
     "HYPER_PREFIX_CAP",
     "HAtom",
-    "HNot",
-    "HAnd",
-    "HOr",
-    "HNext",
-    "HEventually",
-    "HGlobally",
-    "HUntil",
-    "HRelease",
-    "HyperBody",
     "HyperSentence",
     "free_trace_variables",
     "parse_hyper",
@@ -100,78 +86,15 @@ HYPER_PREFIX_CAP = 4
 # syntax
 
 
-class HyperBody:
-    """Base class for quantifier-free body nodes."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class HAtom(HyperBody):
+class HAtom(Formula):
+    """The body atom `prop@var`: proposition prop on the trace bound to var."""
+
     prop: str
     var: str
 
 
-@dataclass(frozen=True)
-class HNot(HyperBody):
-    sub: HyperBody
-
-
-@dataclass(frozen=True)
-class HAnd(HyperBody):
-    lhs: HyperBody
-    rhs: HyperBody
-
-
-@dataclass(frozen=True)
-class HOr(HyperBody):
-    lhs: HyperBody
-    rhs: HyperBody
-
-
-@dataclass(frozen=True)
-class HNext(HyperBody):
-    sub: HyperBody
-
-
-@dataclass(frozen=True)
-class HEventually(HyperBody):
-    sub: HyperBody
-
-
-@dataclass(frozen=True)
-class HGlobally(HyperBody):
-    sub: HyperBody
-
-
-@dataclass(frozen=True)
-class HUntil(HyperBody):
-    lhs: HyperBody
-    rhs: HyperBody
-
-
-@dataclass(frozen=True)
-class HRelease(HyperBody):
-    lhs: HyperBody
-    rhs: HyperBody
-
-
-# body connective -> the formula connective it becomes; under a negation
-# it becomes that connective's dual
-_NNF = {
-    HAnd: And,
-    HOr: Split,
-    HNext: Next,
-    HEventually: Eventually,
-    HGlobally: Globally,
-    HUntil: Until,
-    HRelease: Release,
-}
-_CONNECTIVES = (HNot, *_NNF)
-_TO_HYPER = {plain: cls for cls, plain in _NNF.items()}
-
-
-def free_trace_variables(body: HyperBody) -> frozenset[str]:
+def free_trace_variables(body: Formula) -> frozenset[str]:
     """Trace variables read by the body's atoms."""
     out: set[str] = set()
     for b in _preorder(body):
@@ -192,7 +115,7 @@ class HyperSentence:
     """
 
     prefix: tuple[tuple[str, str], ...]
-    body: HyperBody
+    body: Formula
 
     def __post_init__(self):
         for quant, var in self.prefix:
@@ -211,11 +134,7 @@ class HyperSentence:
 
 
 class _HyperParser(_Parser):
-    OR, AND, UNTIL, RELEASE = HOr, HAnd, HUntil, HRelease
-    UNARY = {"X": HNext, "F": HEventually, "G": HGlobally, "BANG": HNot}
-
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    UNARY = {"X": Next, "F": Eventually, "G": Globally, "BANG": ContradictoryNeg}
 
     def sentence(self) -> HyperSentence:
         prefix = []
@@ -231,7 +150,7 @@ class _HyperParser(_Parser):
             prefix.append((quant, var))
         return HyperSentence(tuple(prefix), self.formula())
 
-    def atom(self) -> HyperBody:
+    def atom(self) -> HAtom:
         kind, value, line, col = self.peek()
         if kind == "IDENT":
             self.advance()
@@ -245,19 +164,10 @@ def parse_hyper(text: str) -> HyperSentence:
     return _HyperParser(text).sentence()
 
 
-_OPS = {
-    HOr: (" | ", _LEVEL_OR),
-    HAnd: (" & ", _LEVEL_AND),
-    HUntil: (" U ", _LEVEL_UNTILREL),
-    HRelease: (" R ", _LEVEL_UNTILREL),
-    HNext: ("X ", _LEVEL_UNARY),
-    HEventually: ("F ", _LEVEL_UNARY),
-    HGlobally: ("G ", _LEVEL_UNARY),
-    HNot: ("!", _LEVEL_UNARY),
-}
+_HYPER_OPS = {**_OPS, ContradictoryNeg: ("!", _LEVEL_UNARY)}
 
 
-def _render_atom(b: HyperBody) -> str:
+def _render_atom(b: Formula) -> str:
     if type(b) is HAtom:
         return f"{b.prop}@{b.var}"
     raise TypeError(f"not a hyper body node: {b!r}")
@@ -266,7 +176,7 @@ def _render_atom(b: HyperBody) -> str:
 def render_hyper(s: HyperSentence) -> str:
     """Render with minimal parentheses; parse_hyper inverts this."""
     head = "".join(f"{quant} {var}. " for quant, var in s.prefix)
-    return head + _render(s.body, _LEVEL_OR, _OPS, _render_atom)
+    return head + _render(s.body, _LEVEL_OR, _HYPER_OPS, _render_atom)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +250,14 @@ def ltl_to_forall_hyper(f: Formula, trace_var: str = "pi") -> HyperSentence:
             case PositiveLiteral(name):
                 return HAtom(name, trace_var), ()
             case NegativeLiteral(name):
-                return HNot(HAtom(name, trace_var)), ()
+                return ContradictoryNeg(HAtom(name, trace_var)), ()
             case ContradictoryNeg(_) | DepAtom(_, _) | GenAtom(_, _):
                 raise UnsupportedFragment(
                     f"only pure LTL translates to a universal sentence: {render_formula(g)}"
                 )
-        node = _TO_HYPER.get(type(g))
-        if node is None:
+        if type(g) not in _DUAL:
             raise TypeError(f"not a formula node: {g!r}")
-        return node, [(h, None) for h in _operands(g)]
+        return type(g), [(h, None) for h in _operands(g)]
 
     return HyperSentence((("A", trace_var),), _rebuild(f, step))
 
@@ -370,7 +279,7 @@ def forall_hyper_to_ltl(s: HyperSentence) -> Formula:
     return _nnf(s.body, lambda prop, var: prop)
 
 
-def _nnf(body: HyperBody, atom) -> Formula:
+def _nnf(body: Formula, atom) -> Formula:
     """The body as LTL in negation normal form, with the proposition
     `atom(prop, var)` for each atom `prop@var`.
 
@@ -378,16 +287,15 @@ def _nnf(body: HyperBody, atom) -> Formula:
     dualities (X self-dual, F/G dual, U/R dual).
     """
 
-    def step(b: HyperBody, negated: bool):
+    def step(b: Formula, negated: bool):
         cls = type(b)
         if cls is HAtom:
             name = atom(b.prop, b.var)
             return (NegativeLiteral if negated else PositiveLiteral)(name), ()
-        if cls is HNot:
+        if cls is ContradictoryNeg:
             return (lambda g: g), [(b.sub, not negated)]
-        if cls not in _NNF:
+        if cls not in _DUAL:
             raise TypeError(f"not a hyper body node: {b!r}")
-        plain = _NNF[cls]
-        return _DUAL[plain] if negated else plain, [(h, negated) for h in _operands(b)]
+        return _DUAL[cls] if negated else cls, [(h, negated) for h in _operands(b)]
 
     return _rebuild(body, step, False)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teamltl
+from teamltl import hyper
 from teamltl.errors import (
     BoundExceeded,
     MalformedStructure,
@@ -18,27 +20,23 @@ from teamltl.errors import (
     UnsupportedFragment,
 )
 from teamltl.formula import (
+    And,
     ContradictoryNeg,
     DepAtom,
     Eventually,
     GenAtom,
     Globally,
     NegativeLiteral,
+    Next,
     PositiveLiteral,
+    Release,
     Split,
+    Until,
     parse_formula,
 )
 from teamltl.hyper import (
     HYPER_PREFIX_CAP,
-    HAnd,
     HAtom,
-    HEventually,
-    HGlobally,
-    HNext,
-    HNot,
-    HOr,
-    HRelease,
-    HUntil,
     HyperSentence,
     check_hyper,
     forall_hyper_to_ltl,
@@ -65,22 +63,22 @@ def test_parse_pinned():
     )
     s = parse_hyper("A pi. F p@pi")
     assert s.prefix == (("A", "pi"),)
-    assert s.body == HEventually(HAtom("p", "pi"))
+    assert s.body == Eventually(HAtom("p", "pi"))
 
 
 def test_parse_precedence_mirrors_formula_grammar():
     s = parse_hyper("E x. A y. p@x U q@y & r@x | !p@y")
-    assert s.body == HOr(
-        HAnd(HUntil(HAtom("p", "x"), HAtom("q", "y")), HAtom("r", "x")),
-        HNot(HAtom("p", "y")),
+    assert s.body == Split(
+        And(Until(HAtom("p", "x"), HAtom("q", "y")), HAtom("r", "x")),
+        ContradictoryNeg(HAtom("p", "y")),
     )
 
 
 def test_parse_negation_scopes_over_subformulas():
     s = parse_hyper("A pi. !(p@pi U q@pi) & !X p@pi")
-    assert s.body == HAnd(
-        HNot(HUntil(HAtom("p", "pi"), HAtom("q", "pi"))),
-        HNot(HNext(HAtom("p", "pi"))),
+    assert s.body == And(
+        ContradictoryNeg(Until(HAtom("p", "pi"), HAtom("q", "pi"))),
+        ContradictoryNeg(Next(HAtom("p", "pi"))),
     )
 
 
@@ -123,8 +121,43 @@ def test_free_trace_variables():
     assert free_trace_variables(s.body) == {"x", "y"}
 
 
-NODES1 = [HNot, HNext, HEventually, HGlobally]
-NODES2 = [HAnd, HOr, HUntil, HRelease]
+def test_formula_only_leaves_are_not_body_nodes():
+    for leaf in (
+        PositiveLiteral("p"),
+        NegativeLiteral("p"),
+        DepAtom(("p",), ("q",)),
+        GenAtom("constant", ("p",)),
+    ):
+        for body in (leaf, And(HAtom("p", "x"), Next(leaf))):
+            with pytest.raises(TypeError, match="not a hyper body node"):
+                free_trace_variables(body)
+            with pytest.raises(TypeError, match="not a hyper body node"):
+                HyperSentence((("A", "x"),), body)
+
+
+px, qx, qy, rx = HAtom("p", "x"), HAtom("q", "x"), HAtom("q", "y"), HAtom("r", "x")
+# `!` stacks and binds tighter than U, `|` under `&` keeps its parentheses,
+# and a U chain nests to the right
+RENDER_PINNED = [
+    (ContradictoryNeg(ContradictoryNeg(px)), "!!p@x"),
+    (ContradictoryNeg(Until(px, qy)), "!(p@x U q@y)"),
+    (Next(ContradictoryNeg(px)), "X !p@x"),
+    (And(Split(px, qy), rx), "(p@x | q@y) & r@x"),
+    (Until(px, Until(qx, rx)), "p@x U q@x U r@x"),
+]
+
+
+@pytest.mark.parametrize(
+    "body, text", [pytest.param(*case, id=case[1]) for case in RENDER_PINNED]
+)
+def test_render_pinned(body, text):
+    s = HyperSentence((("A", "x"), ("E", "y")), body)
+    assert render_hyper(s) == f"A x. E y. {text}"
+    assert parse_hyper(render_hyper(s)) == s
+
+
+NODES1 = [ContradictoryNeg, Next, Eventually, Globally]
+NODES2 = [And, Split, Until, Release]
 
 
 def bodies(variables=("pi", "rho")):
@@ -148,6 +181,15 @@ def bodies(variables=("pi", "rho")):
 def test_render_parse_roundtrip(body):
     s = HyperSentence((("E", "pi"), ("A", "rho")), body)
     assert parse_hyper(render_hyper(s)) == s
+
+
+def test_exports_resolve_and_hyper_exports_no_connective_classes():
+    for module in (teamltl, hyper):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    # a body connective is a formula class; HAtom is hyper's only node class
+    classes = {name for name in hyper.__all__ if isinstance(getattr(hyper, name), type)}
+    assert classes == {"HAtom", "HyperSentence"}
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +248,24 @@ def oracle_body(body, assignment):
         match b:
             case HAtom(p, v):
                 return p in value_at(assignment[v], i)
-            case HNot(sub):
+            case ContradictoryNeg(sub):
                 return not val(sub, i)
-            case HAnd(l, r):
+            case And(l, r):
                 return val(l, i) and val(r, i)
-            case HOr(l, r):
+            case Split(l, r):
                 return val(l, i) or val(r, i)
-            case HNext(sub):
+            case Next(sub):
                 return val(sub, i + 1)
-            case HEventually(sub):
+            case Eventually(sub):
                 return any(val(sub, j) for j in range(i, i + horizon))
-            case HGlobally(sub):
+            case Globally(sub):
                 return all(val(sub, j) for j in range(i, i + horizon))
-            case HUntil(l, r):
+            case Until(l, r):
                 for j in range(i, i + horizon):
                     if val(r, j):
                         return all(val(l, w) for w in range(i, j))
                 return False
-            case HRelease(l, r):
+            case Release(l, r):
                 for j in range(i, i + horizon):
                     if not val(r, j):
                         return any(val(l, w) for w in range(i, j))
@@ -366,7 +408,7 @@ def test_forall_hyper_to_ltl_rejects_other_prefixes():
             forall_hyper_to_ltl(parse_hyper(text))
     # a quantifier-free sentence cannot even be built: atoms need a binder
     with pytest.raises(MalformedStructure):
-        HyperSentence((), HNot(HNot(HAtom("p", "x"))))
+        HyperSentence((), ContradictoryNeg(ContradictoryNeg(HAtom("p", "x"))))
 
 
 def test_roundtrip_is_structural_identity_on_pure_ltl():
