@@ -49,6 +49,14 @@ built from its orbit: the prefix bits, then the loop bits repeated up to
 prfx + lcm.  The team satisfies a flat node at shift k iff every member
 does, so the AND of the members' signatures marks the shifts where it
 holds, and the operator reads its verdict off the lowest bits.
+
+The async engine quantifies a static body, built from literals, dep
+atoms, `&`, `~` and lax splits, over sets of first letters instead of
+shifted teams: such a body reads only its team's letter set, since lax
+splits are local (Galliani, APAL 2012).  A split is lax under AllCovers,
+or when f is downward closed and strict splits agree with lax ones
+(Väänänen 2007); a forced strict split counts members, and so may a
+generalised atom's predicate, so neither is static.
 """
 
 from __future__ import annotations
@@ -66,8 +74,10 @@ from .classical import (
     _DEP,
     _F,
     _GEN,
+    _NEG,
     _NEXT,
     _NOT,
+    _POS,
     _SPLIT,
     _U,
     _Nodes,
@@ -522,6 +532,19 @@ class _AsyncEngine(_Engine):
             for v in cycle:
                 self._orbit_unit[v] = 1 << offset
             offset += len(cycle).bit_length()
+        # letter-set grids: the bit of the lowest id with u's first letter,
+        # and the static nodes (None when no two ids share a letter)
+        first: dict = {}
+        self._rep_bit = [1 << first.setdefault(x, u) for u, x in enumerate(self.letter)]
+        self._static = None
+        if len(first) < len(self.letter):
+            lax = mode is SplitMode.ALL_COVERS or closed
+            static = self._static = []
+            for kind, a, b in zip(self.nodes.kind, self.nodes.lhs, self.nodes.rhs):
+                inner = kind in (_AND, _NOT) or kind == _SPLIT and lax
+                static.append(
+                    kind in (_POS, _NEG, _DEP) or inner and static[b] and (a is None or static[a])
+                )
 
     def orbit_key(self, members: list[int]) -> int:
         return sum(map(self._orbit_unit.__getitem__, members))
@@ -561,8 +584,9 @@ class _AsyncEngine(_Engine):
     def quantify(self, members: list[int], counts: list[int], b: int, exists: bool) -> bool:
         """Does some (exists) or every shifted team satisfy b?
 
-        Member u takes shifts 0..count-1; each distinct shifted team is
-        evaluated once, in the order of the vectors' first occurrence.
+        Member u takes shifts 0..count-1.  Each distinct shifted team is
+        evaluated once, in the order of the vectors' first occurrence; for
+        a static b, each distinct letter set, on the lowest ids with them.
         """
         space = 1
         for count in counts:
@@ -571,9 +595,14 @@ class _AsyncEngine(_Engine):
                 raise VectorSpaceExceeded(
                     f"shift vector grid exceeds the cap of {self.limits.max_grid}"
                 )
+        rep = self._rep_bit if self._static is not None and self._static[b] else None
         teams = [0]
         for u, count in zip(members, counts):
-            bits = [1 << v for v in self.orbit(u)[:count]]
+            orbit = self.orbit(u)[:count]
+            if rep is None:
+                bits = [1 << v for v in orbit]
+            else:
+                bits = dict.fromkeys(map(rep.__getitem__, orbit))
             teams = list(dict.fromkeys(t | bit for t in teams for bit in bits))
         for t in teams:
             if self.eval(t, b) == exists:

@@ -3,7 +3,7 @@
 import random
 import time
 from functools import reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from teamltl.classical import check_trace, trace_values
 from teamltl.errors import BoundExceeded, DuplicateName, UnknownAtom, VectorSpaceExceeded
 from teamltl.formula import (
     And,
+    ContradictoryNeg,
     DepAtom,
     Eventually,
     Globally,
@@ -29,6 +30,7 @@ from teamltl.teamcheck import (
     GenAtomDef,
     Limits,
     SplitMode,
+    _AsyncEngine,
     check_async,
     check_async_general,
     check_sync,
@@ -45,6 +47,7 @@ from teamltl.traces import (
     prfx,
     suffix_encoding,
     team_suffix,
+    value_at,
 )
 
 from .util import (
@@ -204,21 +207,35 @@ def _subsets(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
-def naive_sync(team, f, mode):
-    from teamltl.formula import (
-        And,
-        ContradictoryNeg,
-        DepAtom,
-        Eventually,
-        Globally,
-        NegativeLiteral,
-        Next,
-        PositiveLiteral,
-        Release,
-        Until,
-    )
-    from teamltl.traces import suffix_encoding, value_at
+def _naive_local(ts, g, mode, ev):
+    """The connectives both naive evaluators read off the current letters;
+    None when g is temporal.  `ev` evaluates subformulas."""
+    match g:
+        case PositiveLiteral(name):
+            return all(name in value_at(t, 0) for t in ts)
+        case NegativeLiteral(name):
+            return all(name not in value_at(t, 0) for t in ts)
+        case DepAtom(ds, qs):
+            return eval_dep_atom([value_at(t, 0) for t in ts], ds, qs)
+        case ContradictoryNeg(sub):
+            return not ev(ts, sub)
+        case And(lhs, rhs):
+            return ev(ts, lhs) and ev(ts, rhs)
+        case Split(lhs, rhs):
+            for part in map(frozenset, _subsets(ts)):
+                rest = ts - part
+                if mode is SplitMode.DISJOINT_ONLY:
+                    if ev(part, lhs) and ev(rest, rhs):
+                        return True
+                else:
+                    for extra in map(frozenset, _subsets(part)):
+                        if ev(part, lhs) and ev(rest | extra, rhs):
+                            return True
+            return False
+    return None
 
+
+def naive_sync(team, f, mode):
     members = frozenset(team)
 
     def shift(ts, k):
@@ -228,28 +245,10 @@ def naive_sync(team, f, mode):
         return prfx(Team(ts)) + lcm(Team(ts))
 
     def ev(ts, g):
+        got = _naive_local(ts, g, mode, ev)
+        if got is not None:
+            return got
         match g:
-            case PositiveLiteral(name):
-                return all(name in value_at(t, 0) for t in ts)
-            case NegativeLiteral(name):
-                return all(name not in value_at(t, 0) for t in ts)
-            case DepAtom(ds, qs):
-                return eval_dep_atom([value_at(t, 0) for t in ts], ds, qs)
-            case ContradictoryNeg(sub):
-                return not ev(ts, sub)
-            case And(lhs, rhs):
-                return ev(ts, lhs) and ev(ts, rhs)
-            case Split(lhs, rhs):
-                for part in map(frozenset, _subsets(ts)):
-                    rest = ts - part
-                    if mode is SplitMode.DISJOINT_ONLY:
-                        if ev(part, lhs) and ev(rest, rhs):
-                            return True
-                    else:
-                        for extra in map(frozenset, _subsets(part)):
-                            if ev(part, lhs) and ev(rest | extra, rhs):
-                                return True
-                return False
             case Next(sub):
                 return ev(shift(ts, 1), sub)
             case Eventually(sub):
@@ -271,6 +270,56 @@ def naive_sync(team, f, mode):
         raise AssertionError(f"naive evaluator cannot handle {g!r}")
 
     return ev(members, f)
+
+
+def naive_async(team, f, mode):
+    """Asynchronous semantics over explicit shift vectors.
+
+    A team is a frozenset of canonical suffixes, and trace t takes the
+    shifts 0..|prefix|+|loop|-1, which reach each of its suffixes.  With
+    the per-trace side conditions of the `teamcheck` docstring, `a U b`
+    asks for a vector whose team satisfies b where every strictly earlier
+    suffix of each trace satisfies a on its own, and `a R b` asks every
+    vector where no strictly earlier suffix of any trace satisfies a on
+    its own to give a team satisfying b.
+    """
+
+    def suffixes(t):
+        return [suffix_encoding(t, k) for k in range(len(t.prefix) + len(t.loop))]
+
+    def side(a, value):
+        # trace t's shifts whose strictly earlier suffixes all have a == value
+        def shifts(t):
+            allowed = []
+            for s in suffixes(t):
+                allowed.append(s)
+                if ev(frozenset([s]), a) != value:
+                    break
+            return allowed
+
+        return shifts
+
+    def vectors(ts, shifts):
+        return (frozenset(v) for v in product(*map(shifts, ts)))
+
+    def ev(ts, g):
+        got = _naive_local(ts, g, mode, ev)
+        if got is not None:
+            return got
+        match g:
+            case Next(sub):
+                return ev(frozenset(suffix_encoding(t, 1) for t in ts), sub)
+            case Eventually(sub):
+                return any(ev(v, sub) for v in vectors(ts, suffixes))
+            case Globally(sub):
+                return all(ev(v, sub) for v in vectors(ts, suffixes))
+            case Until(lhs, rhs):
+                return any(ev(v, rhs) for v in vectors(ts, side(lhs, True)))
+            case Release(lhs, rhs):
+                return all(ev(v, rhs) for v in vectors(ts, side(lhs, False)))
+        raise AssertionError(f"naive evaluator cannot handle {g!r}")
+
+    return ev(frozenset(team), f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -615,3 +664,75 @@ def test_async_orbit_memo_keeps_prefixed_trace_apart_from_its_loop():
     assert check_async(Team([loop]), g) is True
     assert check_async(Team([t]), g) is False
     assert check_async(Team([t, loop]), parse_formula("G (!p & dep(; q)) | G (!p & dep(; q))")) is False
+
+
+# ---------------------------------------------------------------------------
+# letter-set grids: async quantifiers over the shifted teams' first letters
+
+
+@st.composite
+def letter_sharing_cases(draw, allow_neg=False):
+    """A team over one or two propositions, so first letters repeat, and
+    F, G, U or R over bodies that may hold dependence atoms."""
+    pool = draw(st.sampled_from([("p",), ("p", "q")]))
+    team = draw(teams(pool, max_size=3, max_prefix=1, max_loop=3))
+    body = formulas(pool, max_leaves=4, allow_neg=allow_neg, allow_dep=True)
+    op = draw(st.sampled_from([Eventually, Globally, Until, Release]))
+    f = op(draw(body)) if op in (Eventually, Globally) else op(draw(body), draw(body))
+    return team, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_sharing_cases())
+def test_async_engine_matches_naive_async(case):
+    team, f = case
+    expected = naive_async(team, f, SplitMode.DISJOINT_ONLY)
+    assert check_async(team, f) == expected
+    assert check_async(team, f, split_mode=SplitMode.ALL_COVERS) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_sharing_cases(allow_neg=True), st.sampled_from(SplitMode))
+def test_async_engine_matches_naive_async_with_neg(case, mode):
+    team, f = case
+    assert check_async(team, f, split_mode=mode) == naive_async(team, f, mode)
+
+
+LETTER_PAIR = team_of("; {p}", "; {p} {}")  # two members whose first letters agree
+
+
+def test_letter_set_grid_keeps_forced_strict_splits():
+    # a strict split of two nonempty parts needs two members, which the
+    # shifted team (0, 0) has although it holds one letter
+    f = parse_formula("G (~(p & !p) | ~(p & !p))")
+    assert check_async(LETTER_PAIR, f, split_mode=SplitMode.DISJOINT_ONLY) is True
+    assert naive_async(LETTER_PAIR, f, SplitMode.DISJOINT_ONLY) is True
+
+
+def test_letter_set_grid_keeps_next_off_the_letters():
+    # both members start with {} but differ one step on, so X dep(; p)
+    # is not a function of the first letters
+    team = team_of("; {}", "; {} {p}")
+    f = parse_formula("F (!p & X dep(; p))")
+    assert check_async(team, f) is False
+    assert naive_async(team, f, SplitMode.DISJOINT_ONLY) is False
+
+
+def test_letter_set_grid_keeps_gen_atoms_on_members():
+    reg = AtomRegistry([GenAtomDef("many", 0, lambda letters, args: len(letters) >= 2)])
+    assert check_async(LETTER_PAIR, parse_formula("G @many()"), atoms=reg) is True
+
+
+def test_letter_set_grid_bounds_the_work():
+    # loops 2, 3, 5, 7 over p and q: the release grid has 1 * 3 * 5 * 7
+    # shift vectors and b holds on each, but a static b is evaluated on at
+    # most one team per set of first letters
+    team = team_of(
+        "; {p} {}", "; {p,q} {q} {}", "; {p} {q} {} {p,q} {}", "; {} {p} {q} {p} {} {q} {p,q}"
+    )
+    f = parse_formula("(G !q) R (dep(p;q) | q)")
+    engine = _AsyncEngine(team, f, None, Limits(), SplitMode.DISJOINT_ONLY, True, True)
+    assert engine.eval(engine.team, engine.nodes.root) is True
+    assert naive_async(team, f, SplitMode.DISJOINT_ONLY) is True
+    b = engine.nodes.rhs[engine.nodes.root]
+    assert len(engine.memo[b]) <= 2 ** len(set(engine.letter))
