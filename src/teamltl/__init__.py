@@ -72,7 +72,6 @@ from .teamcheck import (
     Limits,
     SplitMode,
     check_async,
-    check_async_general,
     check_sync,
     constancy_atom_def,
     eval_dep_atom,

@@ -433,64 +433,14 @@ def ltl_to_nba(f: Formula) -> NBA:
 def nba_accepts(nba: NBA, trace: UPTrace) -> bool:
     """Membership test: does the automaton accept the given trace?
 
-    Runs the stem, then collapses each full loop unwinding into one edge
-    of a "boundary graph" over automaton states, flagged when the
-    unwinding passes through an accepting state.  The word is accepted
-    iff some reachable cycle of that graph uses a flagged edge.
+    Searches the product of the automaton with the trace's positions,
+    where position i steps to i + 1 and the last position back to the
+    loop start, for an accepting lasso.
     """
-
-    def matching(state, letter):
-        return [
-            succ
-            for ((pos, neg), succ) in nba.transitions.get(state, ())
-            if pos <= letter and neg.isdisjoint(letter)
-        ]
-
-    current = set(nba.initial)
-    for letter in trace.prefix:
-        current = {succ for s in current for succ in matching(s, letter)}
-
-    # boundary graph: s --flag--> q when one loop unwinding leads s to q,
-    # flag recording an accepting visit strictly inside or at the end
-    edges: dict = {}
-    pending = sorted(current)
-    explored = set(current)
-    while pending:
-        s = pending.pop()
-        frontier = {(s, False)}
-        for letter in trace.loop:
-            frontier = {
-                (succ, flag or succ in nba.accepting)
-                for (q, flag) in frontier
-                for succ in matching(q, letter)
-            }
-        best: dict = {}
-        for (q, flag) in frontier:
-            best[q] = best.get(q, False) or flag
-        edges[s] = sorted(best.items())
-        for q in best:
-            if q not in explored:
-                explored.add(q)
-                pending.append(q)
-
-    def reaches(a, b):
-        seen = {a}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                return True
-            for (y, _) in edges.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
-
-    for s in explored:
-        for (q, flag) in edges.get(s, ()):
-            if flag and reaches(q, s):
-                return True
-    return False
+    letters = trace.prefix + trace.loop
+    succ = [(i,) for i in range(1, len(letters))] + [(len(trace.prefix),)]
+    product = _product(nba, 0, letters.__getitem__, succ.__getitem__)
+    return _emptiness_search(*product) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +510,38 @@ def _emptiness_search(initial, adjacency, accepting):
                         stem.reverse()
                         return tuple(stem), cycle
     return None
+
+
+def _product(nba: NBA, start, label, successors):
+    """The product of the automaton with a graph of labelled nodes.
+
+    Returns (initial, adjacency, accepting) for `_emptiness_search`:
+    product nodes are pairs (graph node, automaton state) reachable from
+    `start` paired with an initial state, and node (x, q) steps, reading
+    x's letter `label(x)`, to (y, q') for every automaton edge q -> q'
+    that matches the letter (in edge order) and every y in
+    `successors(x)` (in that order).
+    """
+    initial = tuple((start, q) for q in nba.initial)
+    adjacency: dict = {}
+    order = list(initial)
+    seen = set(initial)
+    for node in order:  # visits the nodes appended below too
+        x, q = node
+        letter = label(x)
+        succs = successors(x)
+        edges = []
+        for ((pos, neg), succ_q) in nba.transitions.get(q, ()):
+            if pos <= letter and neg.isdisjoint(letter):
+                for y in succs:
+                    target = (y, succ_q)
+                    edges.append((letter, target))
+                    if target not in seen:
+                        seen.add(target)
+                        order.append(target)
+        adjacency[node] = tuple(edges)
+    accepting = {node for node in seen if node[1] in nba.accepting}
+    return initial, adjacency, accepting
 
 
 def nba_nonempty(nba: NBA) -> LassoWitness | None:
@@ -656,26 +638,9 @@ def classical_mc(k: KripkeStructure, f: Formula) -> tuple[bool, LassoWitness | N
     """
     validate_kripke(k)
     nba = ltl_to_nba(dualize(f))
-
-    adjacency: dict = {}
-    initial = tuple((k.init, q) for q in nba.initial)
-    order = list(initial)
-    seen = set(initial)
-    for node in order:  # visits the nodes appended below too
-        world, q = node
-        letter = k.labels[world]
-        edges = []
-        for ((pos, neg), succ_q) in nba.transitions.get(q, ()):
-            if pos <= letter and neg.isdisjoint(letter):
-                for succ_w in k.edges[world]:
-                    target = (succ_w, succ_q)
-                    edges.append((letter, target))
-                    if target not in seen:
-                        seen.add(target)
-                        order.append(target)
-        adjacency[node] = tuple(edges)
-
-    accepting = {(w, q) for (w, q) in seen if q in nba.accepting}
+    initial, adjacency, accepting = _product(
+        nba, k.init, k.labels.__getitem__, k.edges.__getitem__
+    )
     found = _emptiness_search(initial, adjacency, accepting)
     if found is None:
         return True, None

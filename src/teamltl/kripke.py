@@ -30,9 +30,6 @@ class KripkeStructure:
     edges: dict[str, tuple[str, ...]]
     init: str
 
-    def successors(self, world: str) -> tuple[str, ...]:
-        return self.edges[world]
-
     def proposition_universe(self) -> frozenset[str]:
         out: set[str] = set()
         for label in self.labels.values():

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .classical import LassoWitness, check_trace, classical_mc
 from .errors import (
     BoundExceeded,
+    NameCollision,
     UnknownAtom,
     UnsupportedFragment,
     UnsupportedOpenProblem,
@@ -133,6 +134,9 @@ def tmc_sync_splitfree(k: KripkeStructure, f: Formula, limits: Limits | None = N
     """Synchronous team model checking for splitjunction-free formulas.
 
     ~ is permitted and evaluated classically on the derived trace.
+    Raises NameCollision when the bar-transformed formula reads some
+    q_bar while both q and q_bar occur in the labels or the formula: the
+    derived letter's q_bar could then mean either.
     """
     info = _fragment_without_registry(f)
     if not info.splitjunction_free:
@@ -145,8 +149,16 @@ def tmc_sync_splitfree(k: KripkeStructure, f: Formula, limits: Limits | None = N
             "synchronous team model checking does not support dependence or "
             "generalised atoms"
         )
-    derived = team_trace(k, props(f), limits)
-    return check_trace(derived, bar_transform(f))
+    g = bar_transform(f)
+    mentioned = props(f)
+    names = k.proposition_universe() | mentioned
+    for bar in props(g):
+        q = bar.removesuffix("_bar")
+        if q != bar and {q, bar} <= names:
+            raise NameCollision(
+                f"proposition {bar!r} collides with the name for {q!r} being absent"
+            )
+    return check_trace(team_trace(k, mentioned, limits), g)
 
 
 # verdictbench calls tmc_sync_splitfree_onthefly and wraps ltl_to_nba and

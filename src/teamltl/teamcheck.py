@@ -21,9 +21,11 @@ part that already fails its formula can never recover — both prunings are
 licensed by downward closure.  So is absorption: a part that is pure and
 flat holds on any set of traces that each satisfy it, so in a
 downward-closed formula every trace such a part admits is placed there
-and only the others are searched.  With contradictory negation in scope
-the semantics-faithful mode enumerates all covers (AllCovers), including
-overlapping ones.
+and only the others are searched.  This pruned search runs on
+downward-closed formulas only.  With contradictory negation in scope the
+semantics-faithful mode enumerates all covers (AllCovers), including
+overlapping ones, and a forced DisjointOnly there enumerates every
+partition; both enumerations are capped by `Limits.max_split_team`.
 
 Both engines compute on integers.  Each call first interns every
 member's |prefix| + |loop| canonical suffixes into one table, the trace
@@ -213,6 +215,8 @@ class _Engine:
         self.limits = limits
         self.mode = mode
         self.closed = closed  # f is syntactically downward closed
+        # the pruned partition search is sound on downward-closed f only
+        self.pruned = mode is SplitMode.DISJOINT_ONLY and closed
         self.nodes = _Nodes(f)
         # shortcut[n]: node n holds on a team iff it holds on every member
         self.shortcut = [p and fl for p, fl in zip(self.nodes.pure, self.nodes.flat)]
@@ -338,27 +342,24 @@ class _Engine:
     # splits -------------------------------------------------------------------
 
     def split_value(self, mask: int, n: int) -> bool:
-        if self.mode is SplitMode.DISJOINT_ONLY:
+        if self.pruned:
             return self._split_disjoint(mask, self.nodes.parts(n))
-        return self._split_covers(mask, self.nodes.lhs[n], self.nodes.rhs[n])
+        return self._split_enumerate(mask, self.nodes.lhs[n], self.nodes.rhs[n])
 
     def _split_disjoint(self, mask: int, parts: list[int]) -> bool:
-        # Assign every trace to exactly one part.  Sound and complete for
-        # downward-closed parts: singleton failure rules a part out for a
-        # trace, and a partial part that fails can never be repaired by
-        # adding more traces.  Empty parts hold trivially (empty team
-        # property for ~-free formulas).  A shortcut part holds on any set
+        # Assign every trace to exactly one part; f is downward closed, so
+        # this search is sound and complete: singleton failure rules a part
+        # out for a trace, and a partial part that fails can never be
+        # repaired by adding more traces.  A shortcut part holds on any set
         # of members that each satisfy it, and a downward-closed part stays
-        # true when a member leaves it, so in a downward-closed formula
-        # every member a shortcut part admits goes to the first such part;
-        # only the others are searched.
+        # true when a member leaves it, so every member a shortcut part
+        # admits goes to the first such part; only the others are searched.
         acc = [0] * len(parts)
         rest = mask
-        if self.closed:
-            for i, p in enumerate(parts):
-                if self.shortcut[p]:
-                    acc[i] = rest & self.holds[p]
-                    rest ^= acc[i]
+        for i, p in enumerate(parts):
+            if self.shortcut[p]:
+                acc[i] = rest & self.holds[p]
+                rest ^= acc[i]
         members = self.members(rest)
         pure, holds = self.nodes.pure, self.holds
         candidates = []
@@ -388,9 +389,7 @@ class _Engine:
 
         def assign(idx: int) -> bool:
             if idx == len(flexible):
-                # parts left empty must hold on the empty team (automatic
-                # for ~-free formulas, decisive when a forced DisjointOnly
-                # run meets contradictory negation)
+                # parts left empty must hold on the empty team
                 return all(self.eval(0, parts[i]) for i in range(len(parts)) if not acc[i])
             _, u, cand = flexible[idx]
             for i in cand:
@@ -405,17 +404,20 @@ class _Engine:
 
         return assign(0)
 
-    def _split_covers(self, mask: int, lhs: int, rhs: int) -> bool:
+    def _split_enumerate(self, mask: int, lhs: int, rhs: int) -> bool:
+        """Try every partition (DisjointOnly) or every cover (AllCovers)."""
         members = self.members(mask)
         n = len(members)
+        covers = self.mode is SplitMode.ALL_COVERS
         if n > self.limits.max_split_team:
             raise BoundExceeded(
-                f"cover enumeration over {n} traces exceeds the cap of "
-                f"{self.limits.max_split_team}"
+                f"{'cover' if covers else 'partition'} enumeration over {n} traces "
+                f"exceeds the cap of {self.limits.max_split_team}"
             )
-        # members are distinct, so every side vector gives a distinct cover
+        # members are distinct, so every side vector gives a distinct split
         bits = [1 << u for u in members]
-        for sides in product((0, 1, 2), repeat=n):  # left, right, both
+        choices = (0, 1, 2) if covers else (0, 1)  # left, right, both
+        for sides in product(choices, repeat=n):
             left = right = 0
             for bit, side in zip(bits, sides):
                 if side != 1:
@@ -509,11 +511,10 @@ class _SyncEngine(_Engine):
 
 
 class _AsyncEngine(_Engine):
-    def __init__(self, team, f, atoms, limits, mode, closed, flat_subformulas: bool):
-        super().__init__(team, f, atoms, limits, mode, closed)
-        if flat_subformulas:
-            # flatness: pure LTL holds on a team iff on every trace
-            self.shortcut = list(self.nodes.pure)
+    def __init__(self, *args):
+        super().__init__(*args)
+        # flatness: pure LTL holds on a team iff on every trace
+        self.shortcut = list(self.nodes.pure)
         self._orbit_memo: list[dict[int, bool]] = [{} for _ in range(len(self.nodes))]
         # Phase-blind team keys.  F and G quantify over all shift vectors,
         # so their value on a team is unchanged when members are replaced
@@ -538,7 +539,7 @@ class _AsyncEngine(_Engine):
         self._rep_bit = [1 << first.setdefault(x, u) for u, x in enumerate(self.letter)]
         self._static = None
         if len(first) < len(self.letter):
-            lax = mode is SplitMode.ALL_COVERS or closed
+            lax = self.mode is SplitMode.ALL_COVERS or self.closed
             static = self._static = []
             for kind, a, b in zip(self.nodes.kind, self.nodes.lhs, self.nodes.rhs):
                 inner = kind in (_AND, _NOT) or kind == _SPLIT and lax
@@ -652,28 +653,5 @@ def check_async(
     info, mode, limits = _prepare(f, atoms, limits, split_mode)
     if info.pure_ltl:
         return all(check_trace(t, f) for t in team)
-    engine = _AsyncEngine(
-        team, f, atoms, limits, mode, info.downward_closed_syntactic, flat_subformulas=True
-    )
-    return engine.eval(engine.team, engine.nodes.root)
-
-
-def check_async_general(
-    team: Team,
-    f: Formula,
-    atoms: AtomRegistry | None = None,
-    limits: Limits | None = None,
-    split_mode: SplitMode | None = None,
-    flat_subformulas: bool = True,
-) -> bool:
-    """Asynchronous semantics via explicit shift vectors.
-
-    With flat_subformulas=False even pure-LTL subformulas are evaluated
-    through the literal vector clauses (slower; used to cross-check the
-    flatness shortcut).
-    """
-    info, mode, limits = _prepare(f, atoms, limits, split_mode)
-    engine = _AsyncEngine(
-        team, f, atoms, limits, mode, info.downward_closed_syntactic, flat_subformulas
-    )
+    engine = _AsyncEngine(team, f, atoms, limits, mode, info.downward_closed_syntactic)
     return engine.eval(engine.team, engine.nodes.root)

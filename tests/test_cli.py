@@ -199,6 +199,15 @@ def test_check_model_async_rejects_atoms(run, kripke_file):
     assert code == 3 and out.startswith("UNSUPPORTED")
 
 
+def test_check_model_sync_rejects_bar_label_next_to_its_name(run, tmp_path):
+    # the derived trace's p_bar would stand both for the label p_bar and
+    # for p being absent
+    k = tmp_path / "bar.txt"
+    k.write_text("world a { p p_bar }\nedge a a\ninit a\n")
+    code, out = run("check-model", "--semantics", "sync", "--formula", "!p", "--kripke", str(k))
+    assert code == 2 and out.startswith("ERROR") and "'p_bar'" in out
+
+
 def test_check_model_async(run, kripke_file):
     assert run("check-model", "--semantics", "async", "--formula", "F p", "--kripke", kripke_file) == (0, "HOLDS\n")
 

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from teamltl.errors import (
     BoundExceeded,
+    NameCollision,
     UnsupportedFragment,
     UnsupportedOpenProblem,
 )
@@ -267,6 +270,41 @@ def test_materialized_matches_oracle():
             assert tmc_sync_splitfree(k, h) == sync_model_oracle(k, h), (
                 f"disagreement on {h!r} over\n{k}"
             )
+
+
+BAR_POOL = ("p", "q", "p_bar")
+
+
+def test_tmc_sync_rejects_bar_labels_next_to_their_names():
+    # a label p_bar next to a label p: !p reads as p_bar, which the
+    # derived trace would also set for the label
+    k = parse_kripke("world a { p p_bar }\nedge a a\ninit a\n")
+    assert check_sync(traces_team_finite(k), parse("!p")) is False
+    with pytest.raises(NameCollision):
+        tmc_sync_splitfree(k, parse("!p"))
+    # the formula's p_bar next to a label p: the derived trace sets p_bar
+    # where p is absent, although no world carries p_bar
+    k = parse_kripke("world r { p }\nworld a { }\nedge r a\nedge a a\ninit r\n")
+    assert check_sync(traces_team_finite(k), parse("X p_bar")) is False
+    with pytest.raises(NameCollision):
+        tmc_sync_splitfree(k, parse("X p_bar"))
+    # without such a pair the verdicts stand
+    assert tmc_sync_splitfree(k, parse("X !p")) is True
+    assert tmc_sync_splitfree(k, parse("X !q")) is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_tmc_sync_with_bar_labels_matches_finite_team(rng):
+    k = random_kripke(rng, max_worlds=4, pool=BAR_POOL)
+    team = traces_team_finite(k)
+    assume(team is not None)
+    f = random_splitfree_formula(rng, depth=3, pool=BAR_POOL, allow_neg=True)
+    try:
+        holds = tmc_sync_splitfree(k, f)
+    except NameCollision:
+        return
+    assert holds == check_sync(team, f)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from teamltl.teamcheck import (
     SplitMode,
     _AsyncEngine,
     check_async,
-    check_async_general,
     check_sync,
     constancy_atom_def,
     eval_dep_atom,
@@ -133,7 +132,7 @@ def test_example_team_pinned():
     assert not check_sync(EXAMPLE_TEAM, parse_formula("F p"))
     assert check_sync(EXAMPLE_TEAM, parse_formula("F p | F p"))
     assert check_async(EXAMPLE_TEAM, parse_formula("F p"))
-    assert check_async_general(EXAMPLE_TEAM, parse_formula("F p"), flat_subformulas=False)
+    assert naive_async(EXAMPLE_TEAM, parse_formula("F p"), SplitMode.DISJOINT_ONLY)
 
 
 def test_union_breaks_sync_eventually():
@@ -151,7 +150,7 @@ def test_empty_team():
         assert check_sync(empty, parse_formula(text)), text
         assert check_async(empty, parse_formula(text)), text
     assert not check_sync(empty, parse_formula("~(p & !p)"))
-    assert not check_async_general(empty, parse_formula("~(p & !p)"))
+    assert not check_async(empty, parse_formula("~(p & !p)"))
 
 
 def test_sync_next_and_globally():
@@ -377,14 +376,14 @@ def test_sync_kernel_on_shared_orbits_with_neg(team, f):
 @settings(max_examples=100, deadline=None)
 @given(orbit_sharing_teams(), formulas(max_leaves=4, allow_dep=True))
 def test_async_kernel_on_shared_orbits(team, f):
-    assert check_async(team, f) == check_async_general(team, f, flat_subformulas=False)
+    assert check_async(team, f) == naive_async(team, f, SplitMode.DISJOINT_ONLY)
 
 
 @settings(max_examples=40, deadline=None)
 @given(coprime_loop_teams(), formulas(max_leaves=3, allow_dep=True))
 def test_kernels_on_coprime_loops(team, f):
     assert check_sync(team, f) == naive_sync(team, f, SplitMode.DISJOINT_ONLY)
-    assert check_async(team, f) == check_async_general(team, f, flat_subformulas=False)
+    assert check_async(team, f) == naive_async(team, f, SplitMode.DISJOINT_ONLY)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +496,7 @@ def test_flat_part_absorption_sync_matches_naive(team, f):
 def test_flat_part_absorption_async_matches_vector_clauses(team, f, conjoin):
     if conjoin:
         f = And(f, DepAtom((), ("p",)))  # keeps the formula out of the pure fast path
-    expected = check_async_general(team, f, flat_subformulas=False)
+    expected = naive_async(team, f, SplitMode.DISJOINT_ONLY)
     assert check_async(team, f) == expected
     assert check_async(team, f, split_mode=SplitMode.ALL_COVERS) == expected
 
@@ -517,8 +516,10 @@ def test_trace_values_match_suffix_checks(t, f):
 )
 def test_pure_masks_match_oracle(team, f):
     # the flat shortcut reads pure masks off a universe with several
-    # cycles and the tails leading into them
-    assert check_async_general(team, f) == all(oracle_trace(t, f) for t in team)
+    # cycles and the tails leading into them; the always-true dep(;)
+    # keeps f out of check_async's per-trace path and in the engine
+    g = And(f, DepAtom((), ()))
+    assert check_async(team, g) == all(oracle_trace(t, f) for t in team)
 
 
 @settings(max_examples=150, deadline=None)
@@ -557,13 +558,14 @@ def test_sync_implies_async_pure_ltl(team, f):
 @settings(max_examples=150)
 @given(teams(max_size=3), formulas(max_leaves=5))
 def test_async_flatness_pure_ltl(team, f):
-    assert check_async(team, f) == all(check_trace(t, f) for t in team)
+    # flatness read off explicit shift vectors, not assumed
+    assert naive_async(team, f, SplitMode.DISJOINT_ONLY) == all(check_trace(t, f) for t in team)
 
 
 @settings(max_examples=100, deadline=None)
 @given(teams(max_size=3, max_prefix=1, max_loop=2), formulas(max_leaves=4))
 def test_async_general_matches_flat_path(team, f):
-    assert check_async_general(team, f, flat_subformulas=False) == check_async(team, f)
+    assert naive_async(team, f, SplitMode.DISJOINT_ONLY) == check_async(team, f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -587,9 +589,9 @@ def test_sync_suffix_period_invariance(team, f, extra):
 @settings(max_examples=100, deadline=None)
 @given(teams(max_size=2, max_prefix=1, max_loop=2), formulas(max_leaves=3, allow_dep=True))
 def test_async_general_downward_closed_with_dep(team, f):
-    if check_async_general(team, f, flat_subformulas=False):
+    if check_async(team, f):
         for sub in map(Team, _subsets(tuple(team))):
-            assert check_async_general(sub, f, flat_subformulas=False)
+            assert check_async(sub, f)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +612,7 @@ def test_vector_budget():
     ]
     team = Team(members)
     with pytest.raises(VectorSpaceExceeded):
-        check_async_general(
-            team,
-            parse_formula("F (p & !p)"),
-            limits=Limits(max_grid=100),
-            flat_subformulas=False,
-        )
+        check_async(team, parse_formula("F (dep(; p) & !p)"), limits=Limits(max_grid=100))
 
 
 def test_gen_atom_predicate_receives_args():
@@ -731,8 +728,35 @@ def test_letter_set_grid_bounds_the_work():
         "; {p} {}", "; {p,q} {q} {}", "; {p} {q} {} {p,q} {}", "; {} {p} {q} {p} {} {q} {p,q}"
     )
     f = parse_formula("(G !q) R (dep(p;q) | q)")
-    engine = _AsyncEngine(team, f, None, Limits(), SplitMode.DISJOINT_ONLY, True, True)
+    engine = _AsyncEngine(team, f, None, Limits(), SplitMode.DISJOINT_ONLY, True)
     assert engine.eval(engine.team, engine.nodes.root) is True
     assert naive_async(team, f, SplitMode.DISJOINT_ONLY) is True
     b = engine.nodes.rhs[engine.nodes.root]
     assert len(engine.memo[b]) <= 2 ** len(set(engine.letter))
+
+
+# ---------------------------------------------------------------------------
+# forced strict splits outside the downward-closed fragment
+
+
+def test_forced_strict_split_without_downward_closure():
+    # (∅, both traces) is a partition: p holds on the empty team, and
+    # ~!p on the pair since !p fails there; the pruned search would drop
+    # `; {}` for failing both parts on its own
+    team = team_of("; {p}", "; {}")
+    for text in ["p | ~!p", "F (p | ~!p)"]:
+        f = parse_formula(text)
+        assert naive_sync(team, f, SplitMode.DISJOINT_ONLY) is True
+        assert naive_async(team, f, SplitMode.DISJOINT_ONLY) is True
+        assert check_sync(team, f, split_mode=SplitMode.DISJOINT_ONLY) is True, text
+        assert check_async(team, f, split_mode=SplitMode.DISJOINT_ONLY) is True, text
+
+
+def test_forced_strict_split_enumeration_cap():
+    team = Team([UPTrace((), (frozenset({f"x{i}", "p"} if i else {"x0"}),)) for i in range(5)])
+    f = parse_formula("p | ~!p")
+    assert naive_sync(team, f, SplitMode.DISJOINT_ONLY) is True
+    for check in (check_sync, check_async):
+        with pytest.raises(BoundExceeded, match="^partition enumeration over 5 traces"):
+            check(team, f, limits=Limits(max_split_team=4), split_mode=SplitMode.DISJOINT_ONLY)
+        assert check(team, f, split_mode=SplitMode.DISJOINT_ONLY) is True
