@@ -123,14 +123,15 @@ class _Nodes:
         return len(self.kind)
 
     def parts(self, n: int) -> list[int]:
-        """Operands of the maximal Split chain at n, left to right."""
+        """Operands of the maximal chain of n's own kind at n, left to right."""
         got = self._parts.get(n)
         if got is None:
             got = []
+            kind = self.kind[n]
             stack = [n]
             while stack:
                 m = stack.pop()
-                if self.kind[m] == _SPLIT:
+                if self.kind[m] == kind:
                     stack.append(self.rhs[m])
                     stack.append(self.lhs[m])
                 else:

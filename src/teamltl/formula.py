@@ -2,17 +2,17 @@
 
 Grammar (whitespace-insensitive, `#`-free; see parse_formula):
 
-    formula  := disj
-    disj     := conj ("|" conj)*            left associative (splitjunction)
-    conj     := untilrel ("&" untilrel)*    left associative
-    untilrel := unary (("U" | "R") unary)*  right associative, one operator kind per chain
-    unary    := ("X" | "F" | "G" | "~") unary | "!" IDENT | "(" disj ")" | atom
-    atom     := IDENT
-              | "dep" "(" [identlist] ";" identlist ")"
-              | "@" IDENT "(" [identlist] ")"
+    formula := formula ("|" | "&" | "U" | "R") formula
+             | ("X" | "F" | "G" | "~") formula | "(" formula ")" | atom
+    atom    := IDENT | "!" IDENT
+             | "dep" "(" [identlist] ";" identlist ")"
+             | "@" IDENT "(" [identlist] ")"
 
-`X F G U R` are reserved operator names.  `!` applies to a single proposition
-only; `~` is the contradictory negation and applies to any subformula.
+`_OPS` gives each operator its level: `|` (splitjunction) binds loosest,
+then `&`, both left associative, then U and R, right associative with one
+kind per chain, then the prefix operators.  `X F G U R` are reserved
+operator names.  `!` applies to a single proposition only; `~` is the
+contradictory negation and applies to any subformula.
 
 Operand order for the binary temporal operators: in `a U b` the right operand
 `b` must eventually hold and `a` holds at all strictly earlier suffixes; in
@@ -20,7 +20,8 @@ Operand order for the binary temporal operators: in `a U b` the right operand
 earlier suffix satisfied `a`.  Example: `{p}{q}...` satisfies `p U q` and
 `(p & q) R p` fails on `{p}{}...` because nothing ever releases.
 
-The parser core `_Parser` and the table-driven renderer `_render` are
+The parser core `_Parser` and the renderer `_render` both read the
+grammar's operators and their levels from one table, `_OPS`, and are
 shared with the trace-quantified sentences of `hyper`, whose bodies are
 formulas over these connectives.  That grammar writes `ContradictoryNeg`
 as `!` over any subformula, has no `~`, and has its own atom `p@var`.
@@ -149,14 +150,6 @@ _PUNCT = {
 }
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
 def _tokenize(text: str):
     tokens = []
     line, col = 1, 1
@@ -173,10 +166,10 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        if _is_ident_start(c):
+        if c.isalpha() or c == "_":
             start = i
             startcol = col
-            while i < n and _is_ident_char(text[i]):
+            while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
                 col += 1
             word = text[start:i]
@@ -195,22 +188,45 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    """Recursive-descent core shared by the formula and sentence grammars.
+_LEVEL_OR, _LEVEL_AND, _LEVEL_UNTILREL, _LEVEL_UNARY = range(4)
 
-    The `|` and `&` chains, the U/R chains and the prefix operators build
-    their nodes through the class-level constructors below, so another
-    grammar overrides only those and the rules that differ.  `peek(ahead)`
-    looks `ahead` tokens past the current one; a caller looks past a token
-    only when that token is not EOF.
+# the operators of the grammar, parsed and rendered: symbol and level
+_OPS = {
+    Split: (" | ", _LEVEL_OR),
+    And: (" & ", _LEVEL_AND),
+    Until: (" U ", _LEVEL_UNTILREL),
+    Release: (" R ", _LEVEL_UNTILREL),
+    Next: ("X ", _LEVEL_UNARY),
+    Eventually: ("F ", _LEVEL_UNARY),
+    Globally: ("G ", _LEVEL_UNARY),
+    ContradictoryNeg: ("~", _LEVEL_UNARY),
+}
+# an open "(" on the parser's stack keeps its operators apart: it sits
+# below every level, and below the level -1 of the tokens that close it
+_OPEN = (None, -2)
+
+
+class _Parser:
+    """Operator-precedence core shared by the formula and sentence grammars.
+
+    The grammar's operators come from a renderer's table (`_OPS` for
+    formulas): a unary entry is a prefix token, a binary entry an infix
+    token at its level, with `|` and `&` folding to the left and U and R
+    to the right, one kind per chain.  `formula` reads operands and
+    operators left to right onto explicit stacks, so no input depth
+    recurses; `atom` reads every other operand, and another grammar
+    overrides it.  `peek(ahead)` looks `ahead` tokens past the current
+    one; a caller looks past a token only when that token is not EOF.
     """
 
-    OR, AND, UNTIL, RELEASE = Split, And, Until, Release
-    UNARY = {"X": Next, "F": Eventually, "G": Globally, "TILDE": ContradictoryNeg}
-
-    def __init__(self, text: str):
+    def __init__(self, text: str, ops: dict = _OPS):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # token kind -> (node class, level), from each operator's symbol
+        self.grammar = {
+            _PUNCT.get(symbol.strip(), symbol.strip()): (cls, level)
+            for cls, (symbol, level) in ops.items()
+        }
 
     def peek(self, ahead: int = 0):
         return self.tokens[self.pos + ahead]
@@ -226,85 +242,60 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], tok[3])
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3])
-
-    # grammar rules -----------------------------------------------------
-
-    def formula(self):
-        f = self.disj()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
-        return f
-
-    def disj(self):
-        f = self.conj()
-        while self.peek()[0] == "PIPE":
+    def formula(self) -> Formula:
+        grammar = self.grammar
+        operands: list = []
+        pending: list = []  # (node class, level) per operator, _OPEN per "("
+        while True:
+            # an operand: prefix operators and open parentheses, then an atom
+            kind = self.peek()[0]
+            op = grammar.get(kind)
+            if kind == "LPAR" or op is not None and op[1] == _LEVEL_UNARY:
+                self.advance()
+                pending.append(op or _OPEN)
+                continue
+            operands.append(self.atom())
+            # then closing parentheses, up to an infix operator or the end
+            while True:
+                kind, value, line, col = self.peek()
+                op = grammar.get(kind)
+                level = -1 if op is None or op[1] == _LEVEL_UNARY else op[1]
+                # fold what binds at least as tightly, but leave U/R chains open
+                while pending and (
+                    pending[-1][1] > level or pending[-1][1] == level != _LEVEL_UNTILREL
+                ):
+                    cls, top = pending.pop()
+                    rhs = operands.pop()
+                    operands.append(cls(rhs) if top == _LEVEL_UNARY else cls(operands.pop(), rhs))
+                if level >= 0:
+                    break
+                if not pending:
+                    if kind != "EOF":
+                        raise ParseError(f"unexpected {value!r}", line, col)
+                    return operands[0]
+                if kind != "RPAR":
+                    raise ParseError(f"expected RPAR, found {value!r}", line, col)
+                self.advance()
+                pending.pop()
+            if pending and pending[-1][1] == level and pending[-1] != op:
+                raise ParseError("cannot mix U and R at the same level, parenthesise", line, col)
             self.advance()
-            f = self.OR(f, self.conj())
-        return f
+            pending.append(op)
 
-    def conj(self):
-        f = self.untilrel()
-        while self.peek()[0] == "AMP":
-            self.advance()
-            f = self.AND(f, self.untilrel())
-        return f
-
-    def untilrel(self):
-        first = self.unary()
-        chain = []
-        op = None
-        while self.peek()[0] in ("U", "R"):
-            tok = self.advance()
-            if op is None:
-                op = tok[0]
-            elif tok[0] != op:
-                raise ParseError(
-                    "cannot mix U and R at the same level, parenthesise", tok[2], tok[3]
-                )
-            chain.append(self.unary())
-        if not chain:
-            return first
-        node = self.UNTIL if op == "U" else self.RELEASE
-        operands = [first] + chain
-        f = operands[-1]
-        for lhs in reversed(operands[:-1]):
-            f = node(lhs, f)
-        return f
-
-    def unary(self):
-        kind = self.peek()[0]
-        node = self.UNARY.get(kind)
-        if node is not None:
-            self.advance()
-            return node(self.unary())
+    def atom(self) -> Formula:
+        kind, value, line, col = self.advance()
         if kind == "BANG":
-            self.advance()
             tok = self.expect("IDENT")
             if tok[1] == "dep" and self.peek()[0] == "LPAR":
                 raise ParseError("'!' applies to a proposition, not a dep atom", tok[2], tok[3])
             return NegativeLiteral(tok[1])
-        if kind == "LPAR":
-            self.advance()
-            f = self.disj()
-            self.expect("RPAR")
-            return f
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, line, col = self.peek()
         if kind == "AT":
-            self.advance()
             name = self.expect("IDENT")[1]
             self.expect("LPAR")
             args = self.identlist(allow_empty=True)
             self.expect("RPAR")
             return GenAtom(name, tuple(args))
         if kind == "IDENT":
-            self.advance()
             if value == "dep" and self.peek()[0] == "LPAR":
                 self.advance()
                 determinants = self.identlist(allow_empty=True)
@@ -316,12 +307,12 @@ class _Parser:
         raise ParseError(f"expected a formula, found {value!r}", line, col)
 
     def identlist(self, allow_empty: bool):
-        names = []
-        if self.peek()[0] != "IDENT":
+        kind, _, line, col = self.peek()
+        if kind != "IDENT":
             if allow_empty:
-                return names
-            self.fail("expected a proposition name")
-        names.append(self.advance()[1])
+                return []
+            raise ParseError("expected a proposition name", line, col)
+        names = [self.advance()[1]]
         while self.peek()[0] == "COMMA":
             self.advance()
             names.append(self.expect("IDENT")[1])
@@ -335,9 +326,6 @@ def parse_formula(text: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-_LEVEL_OR, _LEVEL_AND, _LEVEL_UNTILREL, _LEVEL_UNARY = range(4)
-
 
 def _render(f, required: int, ops: dict, leaf) -> str:
     """Render f with the parentheses that its context `required` needs.
@@ -375,18 +363,6 @@ def _render(f, required: int, ops: dict, leaf) -> str:
             left, right = level, level + 1
         stack += [(g.rhs, right), symbol, (g.lhs, left)]
     return "".join(out)
-
-
-_OPS = {
-    Split: (" | ", _LEVEL_OR),
-    And: (" & ", _LEVEL_AND),
-    Until: (" U ", _LEVEL_UNTILREL),
-    Release: (" R ", _LEVEL_UNTILREL),
-    Next: ("X ", _LEVEL_UNARY),
-    Eventually: ("F ", _LEVEL_UNARY),
-    Globally: ("G ", _LEVEL_UNARY),
-    ContradictoryNeg: ("~", _LEVEL_UNARY),
-}
 
 
 def _render_atom(f: Formula) -> str:

@@ -7,7 +7,8 @@ bound to pi.  The body is a `Formula` over the formula connectives, with
 `ContradictoryNeg` is classical negation and `Split` is disjunction;
 sentences write them `!` (over any subformula) and `|`, and have no `~`.
 The body grammar and renderer are the formula grammar's core
-(`formula._Parser` and `formula._render`) with `p@var` as the only atom.
+(`formula._Parser` and `formula._render`) over the operator table
+`_HYPER_OPS`, with `p@var` as the only atom.
 
 check_hyper enumerates the quantifiers over the members of a finite team.
 It translates the body once into pure LTL in negation normal form over
@@ -46,12 +47,9 @@ from .errors import (
 from .formula import (
     ContradictoryNeg,
     DepAtom,
-    Eventually,
     Formula,
     GenAtom,
-    Globally,
     NegativeLiteral,
-    Next,
     PositiveLiteral,
     _CONNECTIVES,
     _DUAL,
@@ -133,9 +131,10 @@ class HyperSentence:
 # parsing and rendering (the core of the plain formula grammar)
 
 
-class _HyperParser(_Parser):
-    UNARY = {"X": Next, "F": Eventually, "G": Globally, "BANG": ContradictoryNeg}
+_HYPER_OPS = {**_OPS, ContradictoryNeg: ("!", _LEVEL_UNARY)}
 
+
+class _HyperParser(_Parser):
     def sentence(self) -> HyperSentence:
         prefix = []
         while (
@@ -151,9 +150,8 @@ class _HyperParser(_Parser):
         return HyperSentence(tuple(prefix), self.formula())
 
     def atom(self) -> HAtom:
-        kind, value, line, col = self.peek()
+        kind, value, line, col = self.advance()
         if kind == "IDENT":
-            self.advance()
             self.expect("AT")
             return HAtom(value, self.expect("IDENT")[1])
         raise ParseError(f"expected an atom p@var, found {value!r}", line, col)
@@ -161,10 +159,7 @@ class _HyperParser(_Parser):
 
 def parse_hyper(text: str) -> HyperSentence:
     """Parse `E pi. A rho. body` concrete syntax into a sentence."""
-    return _HyperParser(text).sentence()
-
-
-_HYPER_OPS = {**_OPS, ContradictoryNeg: ("!", _LEVEL_UNARY)}
+    return _HyperParser(text, _HYPER_OPS).sentence()
 
 
 def _render_atom(b: Formula) -> str:

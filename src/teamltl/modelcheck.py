@@ -114,8 +114,11 @@ def team_trace(k: KripkeStructure, extra_props=(), limits: Limits | None = None)
     (needed when the formula mentions propositions no world carries);
     `limits.max_lcm` caps the length of the subset sequence.
     """
-    universe = k.proposition_universe() | frozenset(extra_props)
     seq = subset_sequence(k, (limits or DEFAULT_LIMITS).max_lcm)
+    return _derived_trace(k, seq, k.proposition_universe() | frozenset(extra_props))
+
+
+def _derived_trace(k: KripkeStructure, seq: SubsetSequence, universe: frozenset) -> UPTrace:
     stem, period = seq.characteristic
     letters = [_subset_letter(k, worlds, universe) for worlds in seq.sets]
     return UPTrace(tuple(letters[:stem]), tuple(letters[stem : stem + period]))
@@ -135,8 +138,8 @@ def tmc_sync_splitfree(k: KripkeStructure, f: Formula, limits: Limits | None = N
 
     ~ is permitted and evaluated classically on the derived trace.
     Raises NameCollision when the bar-transformed formula reads some
-    q_bar while both q and q_bar occur in the labels or the formula: the
-    derived letter's q_bar could then mean either.
+    q_bar while both q and q_bar occur in the formula or the labels of
+    reachable worlds: the derived letter's q_bar could then mean either.
     """
     info = _fragment_without_registry(f)
     if not info.splitjunction_free:
@@ -150,15 +153,15 @@ def tmc_sync_splitfree(k: KripkeStructure, f: Formula, limits: Limits | None = N
             "generalised atoms"
         )
     g = bar_transform(f)
-    mentioned = props(f)
-    names = k.proposition_universe() | mentioned
+    seq = subset_sequence(k, (limits or DEFAULT_LIMITS).max_lcm)
+    names = props(f).union(*(k.labels[w] for w in frozenset().union(*seq.sets)))
     for bar in props(g):
         q = bar.removesuffix("_bar")
         if q != bar and {q, bar} <= names:
             raise NameCollision(
                 f"proposition {bar!r} collides with the name for {q!r} being absent"
             )
-    return check_trace(team_trace(k, mentioned, limits), g)
+    return check_trace(_derived_trace(k, seq, names), g)
 
 
 # verdictbench calls tmc_sync_splitfree_onthefly and wraps ltl_to_nba and

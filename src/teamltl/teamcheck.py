@@ -312,7 +312,11 @@ class _Engine:
             return got
         kind = nodes.kind[n]
         if kind == _AND:
-            result = self.eval(mask, nodes.lhs[n]) and self.eval(mask, nodes.rhs[n])
+            result = True
+            for part in nodes.parts(n):
+                if not self.eval(mask, part):
+                    result = False
+                    break
         elif kind == _SPLIT:
             result = self.split_value(mask, n)
         elif kind == _NEXT:
@@ -384,25 +388,35 @@ class _Engine:
                 return False
         # fewest choices first, ties in serialised order
         flexible = sorted(
-            ((len(cand), u, cand) for u, cand in zip(members, candidates) if len(cand) > 1)
+            ((len(cand), 1 << u, cand) for u, cand in zip(members, candidates) if len(cand) > 1)
         )
-
-        def assign(idx: int) -> bool:
-            if idx == len(flexible):
+        # depth-first search; chosen[d] indexes the candidate part that
+        # holds flexible[d]'s trace, and k the next candidate to try
+        chosen: list[int] = []
+        depth, k, last = 0, 0, len(flexible)
+        while True:
+            if depth == last:
                 # parts left empty must hold on the empty team
-                return all(self.eval(0, parts[i]) for i in range(len(parts)) if not acc[i])
-            _, u, cand = flexible[idx]
-            for i in cand:
-                previous = acc[i]
-                grown = previous | (1 << u)
-                if self.eval(grown, parts[i]):
-                    acc[i] = grown
-                    if assign(idx + 1):
-                        return True
-                    acc[i] = previous
-            return False
-
-        return assign(0)
+                if all(self.eval(0, parts[i]) for i in range(len(parts)) if not acc[i]):
+                    return True
+            else:
+                end, bit, cand = flexible[depth]
+                while k < end and not self.eval(acc[cand[k]] | bit, parts[cand[k]]):
+                    k += 1
+                if k < end:
+                    acc[cand[k]] |= bit
+                    chosen.append(k)
+                    depth += 1
+                    k = 0
+                    continue
+            # take back the latest placement and try its next candidate
+            if not depth:
+                return False
+            depth -= 1
+            k = chosen.pop()
+            _, bit, cand = flexible[depth]
+            acc[cand[k]] ^= bit
+            k += 1
 
     def _split_enumerate(self, mask: int, lhs: int, rhs: int) -> bool:
         """Try every partition (DisjointOnly) or every cover (AllCovers)."""

@@ -208,6 +208,14 @@ def test_check_model_sync_rejects_bar_label_next_to_its_name(run, tmp_path):
     assert code == 2 and out.startswith("ERROR") and "'p_bar'" in out
 
 
+def test_check_model_sync_ignores_unreachable_labels(run, tmp_path):
+    # p_bar labels only a world that init never reaches
+    k = tmp_path / "ghost.txt"
+    k.write_text("world a { p }\nworld ghost { p_bar }\nedge a a\nedge ghost a\ninit a\n")
+    argv = ("check-model", "--semantics", "sync", "--formula", "!p", "--kripke", str(k))
+    assert run(*argv) == (1, "FAILS\n")
+
+
 def test_check_model_async(run, kripke_file):
     assert run("check-model", "--semantics", "async", "--formula", "F p", "--kripke", kripke_file) == (0, "HOLDS\n")
 
@@ -258,12 +266,48 @@ def test_sat_many_fairness_constraints_in_seconds():
     assert oracle_trace(parse_trace_line(witness), parse_formula(formula))
 
 
-def test_sat_deeply_nested_formula_is_input_error(run, tmp_path):
-    # 3,000 nested X are more than the recursive-descent parser can take
+def test_sat_deeply_nested_formula_gets_a_verdict(run, tmp_path):
+    # 3,000 nested X: the parser and every later pass keep their own stacks
     deep = tmp_path / "deep.ltl"
     deep.write_text("X " * 3000 + "!q\n")
-    code, out = run("sat", "--semantics", "sync", "--formula", str(deep))
-    assert (code, out) == (2, "ERROR formula nested too deep\n")
+    assert run("sat", "--semantics", "sync", "--formula", str(deep)) == (0, "SAT\n; {}\n")
+
+
+def test_temporal_nesting_deeper_than_the_engines_is_input_error(tmp_path):
+    # the async engine recurses through each nested F: 300 get a verdict, 350
+    # exceed the interpreter's default recursion limit
+    team = tmp_path / "team.txt"
+    team.write_text("; {p}\n{} ; {p}\n")
+    for depth, expected in ((300, (0, "HOLDS\n")), (350, (2, "ERROR formula nested too deep\n"))):
+        path = tmp_path / f"nested{depth}.ltl"
+        path.write_text("F " * depth + "(p & dep(;p))\n")
+        argv = ["check-path", "--semantics", "async", "--formula", str(path), "--team", str(team)]
+        code, out, err = _cli_run(*argv)
+        assert (code, out) == expected, err
+
+
+def test_long_chains_and_large_splits_get_a_verdict(tmp_path):
+    # 1,000-term & chains in both team engines, and a split over 1,100
+    # traces that each admit both parts
+    files = {
+        "two.txt": "; {p0}\n; {p1}\n",
+        "many.txt": "".join(f"; {{p q x{i}}}\n" for i in range(1100)),
+        "f.ltl": " & ".join(f"F p{i}" for i in range(1000)),
+        "dep.ltl": " & ".join(f"dep(;p{i})" for i in range(1000)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    two, many, chain_f, chain_dep = (str(tmp_path / name) for name in files)
+    cases = [
+        (["--semantics", "sync", "--formula", "F p | F q", "--team", many], "HOLDS"),
+        (["--semantics", "sync", "--formula", chain_f, "--team", two], "FAILS"),
+        (["--semantics", "async", "--formula", chain_f, "--team", two], "FAILS"),
+        (["--semantics", "sync", "--formula", chain_dep, "--team", two], "FAILS"),
+        (["--semantics", "async", "--formula", chain_dep, "--team", two], "FAILS"),
+    ]
+    for argv, verdict in cases:
+        code, out, err = _cli_run("check-path", *argv)
+        assert (code, out) == ({"HOLDS": 0, "FAILS": 1}[verdict], verdict + "\n"), (argv, err)
 
 
 def test_thousand_term_conjunction_gets_a_verdict(tmp_path):

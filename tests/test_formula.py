@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamltl.errors import (
     ArityMismatch,
@@ -36,6 +37,8 @@ from teamltl.formula import (
     props,
     render_formula,
 )
+
+from teamltl.hyper import parse_hyper, render_hyper
 
 from .util import formulas
 
@@ -120,6 +123,51 @@ def test_parse_multiline_error_position():
         parse_formula("p &\n& q")
 
 
+# every error path of the parser: (text, line, column, message)
+PARSE_ERRORS = [
+    ("p %", 1, 3, "unexpected character '%'"),
+    ("", 1, 1, "expected a formula, found ''"),
+    ("p |", 1, 4, "expected a formula, found ''"),
+    ("U p", 1, 1, "expected a formula, found 'U'"),
+    ("()", 1, 2, "expected a formula, found ')'"),
+    ("X & p", 1, 3, "expected a formula, found '&'"),
+    ("p &\n& q", 2, 1, "expected a formula, found '&'"),
+    ("(p", 1, 3, "expected RPAR, found ''"),
+    ("((p & q)", 1, 9, "expected RPAR, found ''"),
+    ("(p q", 1, 4, "expected RPAR, found 'q'"),
+    ("(p\n", 2, 1, "expected RPAR, found ''"),
+    ("p)", 1, 2, "unexpected ')'"),
+    ("p\n  )", 2, 3, "unexpected ')'"),
+    ("p q", 1, 3, "unexpected 'q'"),
+    ("p X q", 1, 3, "unexpected 'X'"),
+    ("p U q R r", 1, 7, "cannot mix U and R at the same level, parenthesise"),
+    ("p R (q) U r", 1, 9, "cannot mix U and R at the same level, parenthesise"),
+    ("p U q & r R s U t", 1, 15, "cannot mix U and R at the same level, parenthesise"),
+    ("X p U ~q R r", 1, 10, "cannot mix U and R at the same level, parenthesise"),
+    ("!dep(p;q)", 1, 2, "'!' applies to a proposition, not a dep atom"),
+    ("!(p)", 1, 2, "expected IDENT, found '('"),
+    ("! !p", 1, 3, "expected IDENT, found '!'"),
+    ("!", 1, 2, "expected IDENT, found ''"),
+    ("dep(p;)", 1, 7, "expected a proposition name"),
+    ("dep(p q)", 1, 7, "expected SEMI, found 'q'"),
+    ("dep(p;q", 1, 8, "expected RPAR, found ''"),
+    ("dep(p,;q)", 1, 7, "expected IDENT, found ';'"),
+    ("@g(p", 1, 5, "expected RPAR, found ''"),
+    ("@(p)", 1, 2, "expected IDENT, found '('"),
+    ("@g p", 1, 4, "expected LPAR, found 'p'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message", [pytest.param(*case, id=repr(case[0])) for case in PARSE_ERRORS]
+)
+def test_parse_error_table(text, line, column, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -159,6 +207,28 @@ def test_render_pinned():
 @given(formulas(allow_neg=True, allow_dep=True))
 def test_render_parse_round_trip(f):
     assert parse_formula(render_formula(f)) == f
+
+
+_WRAPS = [Next, Eventually, Globally, ContradictoryNeg, And, Split, Until, Release]
+
+
+@settings(max_examples=50)
+@given(
+    formulas(allow_neg=True, allow_dep=True),
+    st.lists(st.tuples(st.sampled_from(_WRAPS), st.booleans()), max_size=100),
+    st.integers(0, 100),
+)
+def test_render_parse_round_trip_at_depth(f, wraps, parens):
+    # a random formula under up to 100 more connectives, each binary one
+    # with a literal on one side, inside up to 100 redundant parentheses
+    for cls, left in wraps:
+        if cls in (And, Split, Until, Release):
+            f = cls(f, Q) if left else cls(Q, f)
+        else:
+            f = cls(f)
+    text = render_formula(f)
+    assert parse_formula(text) == f
+    assert parse_formula("(" * parens + text + ")" * parens) == f
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +304,22 @@ def test_rewrites_on_long_chains():
     assert formula_length(nested) == 601
 
 
+def test_parse_ten_thousand_deep():
+    n = 10_000
+    assert render_formula(parse_formula("(" * n + "p" + ")" * n)) == "p"
+    assert render_formula(parse_formula("X " * n + "p")) == "X " * n + "p"
+    sentence = "A pi. " + "!" * n + "p@pi"
+    assert render_hyper(parse_hyper(sentence)) == sentence
+
+
 # runs the rewrites and the classical and model-checking pipelines on
-# 1,000-term chains under a recursion limit of 200
+# 1,000-term chains, and the parsers on 2,000-deep nesting, under a
+# recursion limit of 200
 _LOW_RECURSION_LIMIT = """
 import sys
 from teamltl.classical import tsat
-from teamltl.formula import bar_transform, dualize, formula_length, parse_formula
+from teamltl.formula import bar_transform, dualize, formula_length, parse_formula, render_formula
+from teamltl.hyper import parse_hyper, render_hyper
 from teamltl.kripke import parse_kripke
 from teamltl.modelcheck import tmc_async, tmc_sync_splitfree
 
@@ -254,6 +334,10 @@ assert tmc_sync_splitfree(k, conj) is False
 assert type(dualize(conj)).__name__ == "Split"
 assert type(bar_transform(conj)).__name__ == "And"
 assert formula_length(disj) == 999
+assert render_formula(parse_formula("(" * 2000 + "p" + ")" * 2000)) == "p"
+assert render_formula(parse_formula("X F G ~" * 500 + "p")) == "X F G ~" * 500 + "p"
+sentence = "A pi. " + "!" * 2000 + "p@pi"
+assert render_hyper(parse_hyper(sentence)) == sentence
 print("ok")
 """
 

@@ -91,6 +91,9 @@ PARSE_ERRORS = [
     ("E pi.", 6, "expected an atom p@var, found ''"),  # no body
     ("", 1, "expected an atom p@var, found ''"),  # empty input
     ("E pi. ~p@pi", 7, "expected an atom p@var, found '~'"),  # ~ is for teams only
+    ("E pi. ! & p@pi", 9, "expected an atom p@var, found '&'"),  # ! needs an operand
+    ("E pi. !(p@pi", 13, "expected RPAR, found ''"),  # unclosed parenthesis
+    ("A pi. p@pi R q@pi U p@pi", 19, "cannot mix U and R at the same level, parenthesise"),
 ]
 
 

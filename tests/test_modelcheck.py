@@ -293,6 +293,22 @@ def test_tmc_sync_rejects_bar_labels_next_to_their_names():
     assert tmc_sync_splitfree(k, parse("X !q")) is True
 
 
+def test_tmc_sync_reads_only_reachable_labels():
+    # p_bar labels only a world that init never reaches, so !p reads as
+    # the common absence of p from the reachable worlds
+    k = parse_kripke("world a { p }\nworld ghost { p_bar }\nedge a a\nedge ghost a\ninit a\n")
+    assert check_sync(traces_team_finite(k), parse("!p")) is False
+    assert tmc_sync_splitfree(k, parse("!p")) is False
+    # q labels only an unreachable world: the formula's q_bar is a name
+    # like any other
+    for label, holds in (("", False), ("q_bar", True)):
+        k = parse_kripke(
+            f"world a {{ {label} }}\nworld ghost {{ q }}\nedge a a\nedge ghost a\ninit a\n"
+        )
+        assert check_sync(traces_team_finite(k), parse("q_bar")) is holds
+        assert tmc_sync_splitfree(k, parse("q_bar")) is holds
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_tmc_sync_with_bar_labels_matches_finite_team(rng):

@@ -760,3 +760,20 @@ def test_forced_strict_split_enumeration_cap():
         with pytest.raises(BoundExceeded, match="^partition enumeration over 5 traces"):
             check(team, f, limits=Limits(max_split_team=4), split_mode=SplitMode.DISJOINT_ONLY)
         assert check(team, f, split_mode=SplitMode.DISJOINT_ONLY) is True
+
+
+def test_long_conjunction_chains_get_a_verdict():
+    # the engines evaluate a maximal & chain as one list of parts, so a
+    # 1,000-term chain needs no recursion
+    team = team_of("; {p0}", "; {p1}")
+    for term, holds in (("F p{}", False), ("dep(;p{})", False), ("dep(;q{})", True)):
+        f = parse_formula(" & ".join(term.format(i) for i in range(1000)))
+        assert check_sync(team, f) is holds, term
+        assert check_async(team, f) is holds, term
+
+
+def test_disjoint_split_places_many_flexible_traces():
+    # each of 1,100 traces satisfies both parts; the backtracking search
+    # over them keeps its own stack
+    team = Team(UPTrace((), (frozenset({"p", "q", f"x{i}"}),)) for i in range(1100))
+    assert check_sync(team, parse_formula("F p | F q")) is True
