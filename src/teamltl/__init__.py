@@ -30,7 +30,6 @@ from .formula import (
     Release,
     Split,
     Until,
-    bar_transform,
     dualize,
     formula_length,
     fragment_info,
@@ -86,7 +85,6 @@ from .kripke import (
 )
 from .modelcheck import (
     subset_sequence,
-    team_trace,
     tmc_async,
     tmc_sync_splitfree,
 )

@@ -195,7 +195,7 @@ def _negate(v):
     return None if v is None else [not x for x in v]
 
 
-def node_values(nodes: _Nodes, succ: list[int], letters, wanted=None) -> list:
+def node_values(nodes: _Nodes, succ: list[int], letters, wanted=None, negated=None) -> list:
     """Truth value of every wanted node on every id of a functional graph.
 
     Id u stands for the trace whose first letter is letters[u] and whose
@@ -203,10 +203,13 @@ def node_values(nodes: _Nodes, succ: list[int], letters, wanted=None) -> list:
     list of values by id, or None when n is not wanted (`wanted` holds a
     flag per node; None wants every node).  The operands of a wanted node
     must be wanted too.  One pass over the nodes, which are numbered
-    bottom-up, computes each value from its operands': literals read
-    `letters`, And is and, Split is or (the pure reading), X reads
-    `succ`, and ContradictoryNeg is classical negation, since on a single
-    trace both negations coincide.  U and F are least fixpoints, taken
+    bottom-up, computes each value from its operands': p holds at u iff
+    p is in letters[u], and !p iff p is not in negated[u], where
+    `negated` defaults to `letters` (on the successor sets of a team,
+    letters[u] holds the labels all worlds share and negated[u] those
+    any world carries).  And is and, Split is or (the pure reading), X
+    reads `succ`, and ContradictoryNeg is classical negation, since on a
+    single trace both negations coincide.  U and F are least fixpoints, taken
     with one pass per cycle of the graph and one over its tails; R and G
     are their duals, a R b = ~(~a U ~b).
     """
@@ -220,7 +223,8 @@ def node_values(nodes: _Nodes, succ: list[int], letters, wanted=None) -> list:
         b = None if nodes.rhs[n] is None else values[nodes.rhs[n]]
         if kind in (_POS, _NEG):
             name, positive = nodes.formula[n].name, kind == _POS
-            v = [(name in letter) == positive for letter in letters]
+            read = letters if positive or negated is None else negated
+            v = [(name in letter) == positive for letter in read]
         elif kind == _NOT:
             v = _negate(b)
         elif kind == _AND:

@@ -29,17 +29,41 @@ as `!` over any subformula, has no `~`, and has its own atom `p@var`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ArityMismatch, NameCollision, ParseError, UnknownAtom, UnsupportedFragment
+from .errors import ArityMismatch, ParseError, UnknownAtom, UnsupportedFragment
 
 Proposition = str
 
 
 class Formula:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.  The connectives compare, hash and print
+    by explicit-stack walks, so long chains need no recursion; the leaves
+    keep their dataclass methods."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
+
+    def __hash__(self):
+        return hash(_shape(self))
+
+    def __repr__(self):
+        # the dataclass text, Name(field=operand, ...), built bottom-up
+        def step(g, _):
+            if type(g) not in _CONNECTIVES:
+                return repr(g), ()
+            head, names = type(g).__qualname__, [f"{field.name}=" for field in fields(g)]
+
+            def text(*args):
+                return f"{head}({', '.join(n + a for n, a in zip(names, args))})"
+
+            return text, [(h, None) for h in _operands(g)]
+
+        return _rebuild(self, step)
 
 
 @dataclass(frozen=True)
@@ -52,13 +76,13 @@ class NegativeLiteral(Formula):
     name: Proposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Split(Formula):
     """Splitjunction: the team splits into two covering subteams."""
 
@@ -66,34 +90,34 @@ class Split(Formula):
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Next(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Eventually(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Globally(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Until(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Release(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ContradictoryNeg(Formula):
     """Boolean negation over teams, written `~`; in hyper sentences,
     written `!`, it is classical negation on the one joint trace."""
@@ -405,6 +429,12 @@ def _preorder(f):
         stack += reversed(_operands(g))
 
 
+def _shape(f) -> tuple:
+    """f's preorder with each connective replaced by its class: equal
+    shapes are equal trees, since a connective's class fixes its arity."""
+    return tuple(type(g) if type(g) in _CONNECTIVES else g for g in _preorder(f))
+
+
 def _rebuild(f, step, ctx=None):
     """A tree built bottom-up from f with an explicit stack.
 
@@ -462,32 +492,6 @@ def dualize(f: Formula) -> Formula:
         if cls not in _DUAL:
             raise UnsupportedFragment("dualize is defined for pure LTL only")
         return _DUAL[cls], [(h, None) for h in _operands(g)]
-
-    return _rebuild(f, step)
-
-
-def bar_transform(f: Formula) -> Formula:
-    """Replace every negative literal !p by a fresh positive proposition p_bar.
-
-    Splitjunctions and atoms are rejected; `~` passes through unchanged.
-    Raises NameCollision when some p_bar already occurs in f.
-    """
-    present = props(f)
-
-    def step(g: Formula, _):
-        cls = type(g)
-        if cls is PositiveLiteral:
-            return g, ()
-        if cls is NegativeLiteral:
-            bar = g.name + "_bar"
-            if bar in present:
-                raise NameCollision(f"proposition {bar!r} already occurs in the formula")
-            return PositiveLiteral(bar), ()
-        if cls is Split:
-            raise UnsupportedFragment("bar transform requires a splitjunction-free formula")
-        if cls not in _CONNECTIVES:
-            raise UnsupportedFragment("bar transform does not accept dependence or generalised atoms")
-        return cls, [(h, None) for h in _operands(g)]
 
     return _rebuild(f, step)
 

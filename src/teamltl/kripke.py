@@ -30,12 +30,6 @@ class KripkeStructure:
     edges: dict[str, tuple[str, ...]]
     init: str
 
-    def proposition_universe(self) -> frozenset[str]:
-        out: set[str] = set()
-        for label in self.labels.values():
-            out |= label
-        return frozenset(out)
-
 
 def validate_kripke(k: KripkeStructure) -> None:
     """Raise MalformedStructure unless k is well formed and left-total."""

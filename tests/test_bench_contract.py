@@ -43,6 +43,7 @@ def test_tracing_wraps_names_that_exist():
     assert ("modelcheck", "tmc_sync_splitfree_onthefly") in wrapped
     assert ("modelcheck", "_emptiness_search") in wrapped
     assert ("teamcheck", "check_trace") in wrapped
+    assert ("modelcheck", "check_trace") in wrapped
     for name, attr in wrapped:
         assert callable(getattr(MODULES[name], attr))
         assert getattr(MODULES[name], attr).__module__.startswith("teamltl.")

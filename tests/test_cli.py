@@ -200,12 +200,15 @@ def test_check_model_async_rejects_atoms(run, kripke_file):
 
 
 def test_check_model_sync_rejects_bar_label_next_to_its_name(run, tmp_path):
-    # the derived trace's p_bar would stand both for the label p_bar and
-    # for p being absent
+    # p_bar is a label like any other: !p reads the absence of p, and the
+    # one trace ({p, p_bar})^ω carries p, as check-path says
     k = tmp_path / "bar.txt"
     k.write_text("world a { p p_bar }\nedge a a\ninit a\n")
-    code, out = run("check-model", "--semantics", "sync", "--formula", "!p", "--kripke", str(k))
-    assert code == 2 and out.startswith("ERROR") and "'p_bar'" in out
+    argv = ("check-model", "--semantics", "sync", "--formula", "!p", "--kripke", str(k))
+    assert run(*argv) == (1, "FAILS\n")
+    team = tmp_path / "bar_team.txt"
+    team.write_text("; {p, p_bar}\n")
+    assert run("check-path", "--semantics", "sync", "--formula", "!p", "--team", str(team)) == (1, "FAILS\n")
 
 
 def test_check_model_sync_ignores_unreachable_labels(run, tmp_path):

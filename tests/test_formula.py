@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from teamltl.errors import (
     ArityMismatch,
-    NameCollision,
     ParseError,
     UnknownAtom,
     UnsupportedFragment,
@@ -29,7 +28,6 @@ from teamltl.formula import (
     Release,
     Split,
     Until,
-    bar_transform,
     dualize,
     formula_length,
     fragment_info,
@@ -268,40 +266,39 @@ def test_dualize_involution(f):
     assert dualize(dualize(f)) == f
 
 
-def test_bar_transform():
-    assert bar_transform(parse_formula("!p & X !q")) == parse_formula("p_bar & X q_bar")
-    assert bar_transform(parse_formula("G p")) == parse_formula("G p")
-    assert bar_transform(parse_formula("~!p")) == parse_formula("~p_bar")
-    with pytest.raises(NameCollision):
-        bar_transform(parse_formula("!p & X p_bar"))
-    with pytest.raises(UnsupportedFragment):
-        bar_transform(parse_formula("p | q"))
-    with pytest.raises(UnsupportedFragment):
-        bar_transform(parse_formula("dep(p;q)"))
-
-
 def _chain(op, terms):
     return f" {op} ".join(terms)
 
 
 def test_rewrites_on_long_chains():
-    # every rewrite is an explicit-stack walk, so a chain 1,000 terms
-    # long needs no recursion; results are compared as text, since
-    # dataclass == itself recurses
+    # every rewrite, and == itself, is an explicit-stack walk, so a chain
+    # 1,000 terms long needs no recursion
     n = 1000
     negs = [f"!p{i}" for i in range(n)]
     poss = [f"p{i}" for i in range(n)]
-    bars = [f"p{i}_bar" for i in range(n)]
     for op, dual in (("&", "|"), ("|", "&"), ("U", "R"), ("R", "U")):
         f = parse_formula(_chain(op, negs))
-        assert render_formula(dualize(f)) == _chain(dual, poss)
+        assert dualize(f) == parse_formula(_chain(dual, poss))
         assert formula_length(f) == n - 1
-        if op != "|":
-            assert render_formula(bar_transform(f)) == _chain(op, bars)
     nested = parse_formula("X " * 600 + "F !q")
-    assert render_formula(dualize(nested)) == "X " * 600 + "G q"
-    assert render_formula(bar_transform(nested)) == "X " * 600 + "F q_bar"
+    assert dualize(nested) == parse_formula("X " * 600 + "G q")
     assert formula_length(nested) == 601
+
+
+def test_eq_hash_and_repr_read_the_tree():
+    f = parse_formula("p & X ~!q")
+    assert repr(f) == (
+        "And(lhs=PositiveLiteral(name='p'), "
+        "rhs=Next(sub=ContradictoryNeg(sub=NegativeLiteral(name='q'))))"
+    )
+    assert f == And(PositiveLiteral("p"), Next(ContradictoryNeg(NegativeLiteral("q"))))
+    assert hash(f) == hash(parse_formula("p & (X ~!q)"))
+    # same preorder classes, different leaves or connectives
+    assert f != parse_formula("p & X ~!r") and f != parse_formula("p | X ~!q")
+    assert parse_formula("X p") != PositiveLiteral("p") != parse_formula("X p")
+    assert (f == "p & X ~!q") is False
+    body = parse_hyper("A pi. F !p@pi").body
+    assert repr(body) == "Eventually(sub=ContradictoryNeg(sub=HAtom(prop='p', var='pi')))"
 
 
 def test_parse_ten_thousand_deep():
@@ -312,19 +309,23 @@ def test_parse_ten_thousand_deep():
     assert render_hyper(parse_hyper(sentence)) == sentence
 
 
-# runs the rewrites and the classical and model-checking pipelines on
-# 1,000-term chains, and the parsers on 2,000-deep nesting, under a
-# recursion limit of 200
+# runs the rewrites, ==, hash and repr and the classical and
+# model-checking pipelines on 1,000-term chains, and the parsers on
+# 2,000-deep nesting, under a recursion limit of 200
 _LOW_RECURSION_LIMIT = """
 import sys
 from teamltl.classical import tsat
-from teamltl.formula import bar_transform, dualize, formula_length, parse_formula, render_formula
+from teamltl.formula import dualize, formula_length, parse_formula, render_formula
 from teamltl.hyper import parse_hyper, render_hyper
 from teamltl.kripke import parse_kripke
 from teamltl.modelcheck import tmc_async, tmc_sync_splitfree
 
 conj = parse_formula(" & ".join(f"p{i}" for i in range(1000)))
 disj = parse_formula(" | ".join(f"p{i}" for i in range(1000)))
+twin = parse_formula(" & ".join(f"p{i}" for i in range(1000)))
+text = "PositiveLiteral(name='p0')"
+for i in range(1, 1000):
+    text = f"And(lhs={text}, rhs=PositiveLiteral(name='p{i}'))"
 k = parse_kripke("world w { p0 }\\nedge w w\\ninit w\\n")
 sys.setrecursionlimit(200)
 assert tsat(conj, "sync") is not None
@@ -332,7 +333,8 @@ assert tsat(disj, "async") is not None
 assert tmc_async(k, conj)[0] is False
 assert tmc_sync_splitfree(k, conj) is False
 assert type(dualize(conj)).__name__ == "Split"
-assert type(bar_transform(conj)).__name__ == "And"
+assert conj == twin and conj != disj and hash(conj) == hash(twin)
+assert repr(conj) == text
 assert formula_length(disj) == 999
 assert render_formula(parse_formula("(" * 2000 + "p" + ")" * 2000)) == "p"
 assert render_formula(parse_formula("X F G ~" * 500 + "p")) == "X F G ~" * 500 + "p"

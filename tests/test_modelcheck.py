@@ -6,28 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from teamltl.errors import (
-    BoundExceeded,
-    NameCollision,
-    UnsupportedFragment,
-    UnsupportedOpenProblem,
-)
-from teamltl.formula import parse_formula as parse, props
+from teamltl.errors import BoundExceeded, UnsupportedFragment, UnsupportedOpenProblem
+from teamltl.formula import parse_formula as parse
 from teamltl.kripke import (
     KripkeStructure,
     _worlds_on_cycles,
     parse_kripke,
     traces_team_finite,
 )
-from teamltl.modelcheck import (
-    subset_sequence,
-    team_trace,
-    tmc_async,
-    tmc_sync_splitfree,
-)
+from teamltl.modelcheck import subset_sequence, tmc_async, tmc_sync_splitfree
 from teamltl.classical import check_trace
 from teamltl.teamcheck import Limits, check_sync
-from teamltl.traces import UPTrace
 
 from .util import random_kripke, random_splitfree_formula, sync_model_oracle
 
@@ -66,7 +55,7 @@ CHAIN = parse_kripke(
 
 
 # ---------------------------------------------------------------------------
-# subset sequence and derived trace
+# subset sequence
 
 
 def test_subset_sequence_pinned():
@@ -124,27 +113,30 @@ def test_sync_model_checking_long_period():
     assert not tmc_sync_splitfree(k, parse("X X p"))
 
 
-def test_team_trace_pinned():
-    assert team_trace(P_CYCLE) == UPTrace((), (frozenset({"p"}),))
+def test_tmc_sync_literals_read_successor_sets():
+    assert tmc_sync_splitfree(P_CYCLE, parse("G p"))
+    assert not tmc_sync_splitfree(P_CYCLE, parse("!p"))
 
-    # position 0: only r, which has no p; position 1: {a, b} disagree on p.
-    assert team_trace(BRANCH) == UPTrace(
-        (frozenset({"p_bar"}),), (frozenset(),)
-    )
+    # position 0: only r, which has no p; position 1: {a, b} disagree on
+    # p, so neither p nor !p holds there
+    assert tmc_sync_splitfree(BRANCH, parse("!p"))
+    for text, holds in (("X p", False), ("X !p", False), ("X ~p", True), ("X ~!p", True)):
+        assert tmc_sync_splitfree(BRANCH, parse(text)) is holds, text
 
-    assert team_trace(CHAIN) == UPTrace(
-        (frozenset({"p", "q_bar"}),),
-        (frozenset({"p", "q"}), frozenset({"q", "p_bar"})),
-    )
-
-
-def test_team_trace_extra_props():
-    # A proposition no world carries is commonly absent at every position.
-    t = team_trace(P_CYCLE, extra_props=("z",))
-    assert t == UPTrace((), (frozenset({"p", "z_bar"}),))
+    # positions {w0} then the loop {w1} {w2}
+    assert tmc_sync_splitfree(CHAIN, parse("p & !q"))
+    assert tmc_sync_splitfree(CHAIN, parse("X (p & q) & X X (q & !p) & X X X (p & q)"))
+    assert not tmc_sync_splitfree(CHAIN, parse("X X (p & q)"))
 
 
-def test_team_trace_ignores_unreachable_worlds():
+def test_tmc_sync_proposition_no_world_carries():
+    # a proposition no world carries is commonly absent at every position
+    assert tmc_sync_splitfree(P_CYCLE, parse("G !z"))
+    assert not tmc_sync_splitfree(P_CYCLE, parse("F z"))
+    assert tmc_sync_splitfree(P_CYCLE, parse("~z & p"))
+
+
+def test_tmc_sync_ignores_unreachable_worlds():
     padded = parse_kripke(
         """
         world r { }
@@ -159,7 +151,9 @@ def test_team_trace_ignores_unreachable_worlds():
         init r
         """
     )
-    assert team_trace(padded) == team_trace(BRANCH, extra_props=("q",))
+    for text, holds in (("G !q", True), ("!p", True), ("X p", False), ("X !p", False), ("F q", False)):
+        assert tmc_sync_splitfree(padded, parse(text)) is holds, text
+        assert tmc_sync_splitfree(BRANCH, parse(text)) is holds, text
 
 
 def test_traces_team_finite_long_chain():
@@ -276,21 +270,16 @@ BAR_POOL = ("p", "q", "p_bar")
 
 
 def test_tmc_sync_rejects_bar_labels_next_to_their_names():
-    # a label p_bar next to a label p: !p reads as p_bar, which the
-    # derived trace would also set for the label
+    # a name ending in _bar is a proposition like any other: !p reads the
+    # absence of p, never a label p_bar, so these get the verdicts of
+    # check_sync on their finite teams
     k = parse_kripke("world a { p p_bar }\nedge a a\ninit a\n")
     assert check_sync(traces_team_finite(k), parse("!p")) is False
-    with pytest.raises(NameCollision):
-        tmc_sync_splitfree(k, parse("!p"))
-    # the formula's p_bar next to a label p: the derived trace sets p_bar
-    # where p is absent, although no world carries p_bar
+    assert tmc_sync_splitfree(k, parse("!p")) is False
     k = parse_kripke("world r { p }\nworld a { }\nedge r a\nedge a a\ninit r\n")
-    assert check_sync(traces_team_finite(k), parse("X p_bar")) is False
-    with pytest.raises(NameCollision):
-        tmc_sync_splitfree(k, parse("X p_bar"))
-    # without such a pair the verdicts stand
-    assert tmc_sync_splitfree(k, parse("X !p")) is True
-    assert tmc_sync_splitfree(k, parse("X !q")) is True
+    for text, holds in (("X p_bar", False), ("X !p_bar", True), ("X !p", True), ("X !q", True)):
+        assert check_sync(traces_team_finite(k), parse(text)) is holds, text
+        assert tmc_sync_splitfree(k, parse(text)) is holds, text
 
 
 def test_tmc_sync_reads_only_reachable_labels():
@@ -316,11 +305,7 @@ def test_tmc_sync_with_bar_labels_matches_finite_team(rng):
     team = traces_team_finite(k)
     assume(team is not None)
     f = random_splitfree_formula(rng, depth=3, pool=BAR_POOL, allow_neg=True)
-    try:
-        holds = tmc_sync_splitfree(k, f)
-    except NameCollision:
-        return
-    assert holds == check_sync(team, f)
+    assert tmc_sync_splitfree(k, f) == check_sync(team, f)
 
 
 # ---------------------------------------------------------------------------

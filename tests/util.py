@@ -19,8 +19,6 @@ from teamltl.formula import (
     Release,
     Split,
     Until,
-    bar_transform,
-    props,
 )
 from teamltl.kripke import KripkeStructure
 from teamltl.reductions import QBFInstance
@@ -266,19 +264,50 @@ def oracle_trace(trace: UPTrace, f: Formula) -> bool:
 
 def sync_model_oracle(k: KripkeStructure, f: Formula) -> bool:
     """Synchronous team satisfaction of a splitjunction-free f by all traces
-    of k, read off the lasso of successor sets S_0 = {init},
-    S_{i+1} = image(S_i): letter i holds p when every world of S_i carries
-    p and p_bar when none does, and f is checked there with !p as p_bar."""
-    pool = props(f)
-    current, seen_at, trace = frozenset({k.init}), {}, []
+    of k, by direct unrolling over the lasso of successor sets
+    S_0 = {init}, S_{i+1} = image(S_i): at position i, p holds when every
+    world of S_i carries p and !p when none does.  Temporal operators
+    quantify over the next len(sets) positions, which reach every
+    distinct one; ~ negates the value at a position."""
+    sets: list[frozenset] = []
+    seen_at: dict[frozenset, int] = {}
+    current = frozenset({k.init})
     while current not in seen_at:
-        seen_at[current] = len(trace)
-        labels = [k.labels[w] for w in current]
-        trace.append(frozenset(
-            [p for p in pool if all(p in label for label in labels)]
-            + [p + "_bar" for p in pool if not any(p in label for label in labels)]
-        ))
+        seen_at[current] = len(sets)
+        sets.append(current)
         current = frozenset(v for w in current for v in k.edges[w])
-    stem = seen_at[current]
-    lasso = UPTrace(tuple(trace[:stem]), tuple(trace[stem:]))
-    return oracle_trace(lasso, bar_transform(f))
+    stem, horizon = seen_at[current], len(sets)
+
+    def later(i: int, j: int) -> int:
+        i += j
+        return i if i < horizon else stem + (i - stem) % (horizon - stem)
+
+    def holds(g: Formula, i: int) -> bool:
+        match g:
+            case PositiveLiteral(name):
+                return all(name in k.labels[w] for w in sets[i])
+            case NegativeLiteral(name):
+                return not any(name in k.labels[w] for w in sets[i])
+            case ContradictoryNeg(sub):
+                return not holds(sub, i)
+            case And(lhs, rhs):
+                return holds(lhs, i) and holds(rhs, i)
+            case Next(sub):
+                return holds(sub, later(i, 1))
+            case Eventually(sub):
+                return any(holds(sub, later(i, j)) for j in range(horizon))
+            case Globally(sub):
+                return all(holds(sub, later(i, j)) for j in range(horizon))
+            case Until(lhs, rhs):
+                for j in range(horizon):
+                    if holds(rhs, later(i, j)):
+                        return all(holds(lhs, later(i, m)) for m in range(j))
+                return False
+            case Release(lhs, rhs):
+                for j in range(horizon):
+                    if not holds(rhs, later(i, j)):
+                        return any(holds(lhs, later(i, m)) for m in range(j))
+                return True
+        raise AssertionError(f"oracle cannot evaluate {g!r}")
+
+    return holds(f, 0)
